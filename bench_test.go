@@ -230,7 +230,7 @@ func BenchmarkEngineRoundTorus65536(b *testing.B) {
 }
 
 // BenchmarkEngineRoundPowerlaw65536 drives heavy-tailed degrees at
-// 65536 nodes on the compact CSR adjacency, goroutine-free and warm:
+// 65536 nodes on the CSR-backed graph, goroutine-free and warm:
 // the per-round engine cost on the representation and runtime the
 // large-n experiments actually use. Through PR9 this cell ran the
 // explicit graph.Graph in goroutine mode, cold — 1.05 s and 112 MB per
@@ -238,7 +238,7 @@ func BenchmarkEngineRoundTorus65536(b *testing.B) {
 // tentpole speedup the PR10 baseline records.
 func BenchmarkEngineRoundPowerlaw65536(b *testing.B) {
 	if benchLargeTopo.powerlaw == nil {
-		benchLargeTopo.powerlaw = graph.BarabasiAlbertCSR(65536, 3, rand.New(rand.NewSource(1)))
+		benchLargeTopo.powerlaw = graph.BarabasiAlbert(65536, 3, rand.New(rand.NewSource(1)))
 	}
 	benchEngineRoundsStepWarm(b, benchLargeTopo.powerlaw, 4, sim.WithSimWorkers(0))
 }
@@ -252,7 +252,7 @@ func BenchmarkEngineRoundPowerlaw65536(b *testing.B) {
 
 func BenchmarkEngineRoundPowerlaw1MStep(b *testing.B) {
 	if benchLargeTopo.powerlaw1m == nil {
-		benchLargeTopo.powerlaw1m = graph.BarabasiAlbertCSR(1<<20, 3, rand.New(rand.NewSource(1)))
+		benchLargeTopo.powerlaw1m = graph.BarabasiAlbert(1<<20, 3, rand.New(rand.NewSource(1)))
 	}
 	benchEngineRoundsStep(b, benchLargeTopo.powerlaw1m, 2, sim.WithSimWorkers(0))
 }

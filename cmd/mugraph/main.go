@@ -106,15 +106,15 @@ func main() {
 		fmt.Printf("topo      %s\n", spec)
 		fmt.Printf("repr      %s (~%d bytes)\n", est.Repr, est.Bytes)
 		fmt.Printf("n         %d\n", t.N())
-		if c, ok := t.(*graph.CSR); ok {
-			fmt.Printf("m         %d\n", c.M())
-			fmt.Printf("maxDeg Δ  %d\n", c.MaxDegree())
-			fmt.Printf("avgDeg    %.2f\n", c.AvgDegree())
-			fmt.Printf("connected %v\n", c.Connected())
+		if g, ok := t.(*graph.Graph); ok {
+			fmt.Printf("m         %d\n", g.M())
+			fmt.Printf("maxDeg Δ  %d\n", g.MaxDegree())
+			fmt.Printf("avgDeg    %.2f\n", g.AvgDegree())
+			fmt.Printf("connected %v\n", g.Connected())
 		} else {
 			fmt.Printf("m         %d\n", est.M)
 		}
-		fmt.Println("diameter, τ_mix and triangles skipped (superlinear scans over the explicit adjacency)")
+		fmt.Println("diameter, τ_mix and triangles skipped (superlinear scans)")
 	}
 	if est.N > largeN {
 		printCompact()
@@ -134,7 +134,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("topo      %s\n", spec)
-	fmt.Printf("repr      %s (~%d bytes compact; explicit adjacency built for full stats)\n", est.Repr, est.Bytes)
+	fmt.Printf("repr      %s (~%d bytes compact; adjacency built for full stats)\n", est.Repr, est.Bytes)
 	fmt.Printf("n         %d\n", g.N())
 	fmt.Printf("m         %d\n", g.M())
 	fmt.Printf("maxDeg Δ  %d\n", g.MaxDegree())

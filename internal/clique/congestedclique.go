@@ -103,13 +103,6 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 		c.Charge(int64(len(nbr))) // input adjacency
 		defer c.Release(int64(len(nbr)))
 
-		// Which multisets does this node's master role cover?
-		var myMultisets []int
-		for t, m := range plan.masters {
-			if m == id {
-				myMultisets = append(myMultisets, t)
-			}
-		}
 		for blk := 0; blk < plan.blocks; blk++ {
 			var out []Packet
 			for t, cov := range plan.covers {
@@ -144,7 +137,6 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 				}
 				c.Release(int64(2 * len(recv)))
 			}
-			_ = myMultisets
 		}
 	}
 }

@@ -6,24 +6,13 @@ import (
 	"math/rand"
 )
 
-// The random generators in this file are built around flat edge-pair
-// lists ([]int32 of u0,v0,u1,v1,...): one core draws the edges, and
-// thin wrappers materialize either the explicit *Graph (pairsGraph) or
-// the compact *CSR (fromPairs). The cores preserve the historical RNG
-// draw sequences exactly — the golden determinism digests and every
-// recorded experiment depend on a seed reproducing the same graph —
-// except where a generator switches to a sparse sampler above
-// gnpDenseLimit, which is documented on the generator.
-
-// pairsGraph materializes a pair list as an explicit adjacency graph.
-func pairsGraph(n int, pairs []int32) *Graph {
-	g := New(n)
-	for i := 0; i < len(pairs); i += 2 {
-		g.addEdge(int(pairs[i]), int(pairs[i+1]))
-	}
-	g.sortAdj()
-	return g
-}
+// The generators in this file draw flat edge-pair lists ([]int32 of
+// u0,v0,u1,v1,...) and freeze them with fromPairs. The random cores
+// preserve the historical RNG draw sequences exactly — the golden
+// determinism digests and every recorded experiment depend on a seed
+// reproducing the same graph — except where a generator switches to a
+// sparse sampler above gnpDenseLimit, which is documented on the
+// generator.
 
 // gnpDenseLimit is the node count up to which G(n,p) sampling draws
 // one rng.Float64 per candidate pair (the historical draw sequence).
@@ -91,13 +80,6 @@ func gnpPairs(n int, p float64, rng *rand.Rand) []int32 {
 // gnpDenseLimit nodes the sampler switches from per-pair draws to
 // geometric skip sampling (see gnpPairsInto).
 func Gnp(n int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(n, gnpPairs(n, p, rng))
-}
-
-// GnpCSR is Gnp emitting the compact CSR representation directly: the
-// identical draw sequence as Gnp for equal n, so both representations
-// of a seed are edge-for-edge identical.
-func GnpCSR(n int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(n, gnpPairs(n, p, rng))
 }
 
@@ -109,17 +91,6 @@ func GnpConnected(n int, p float64, rng *rand.Rand) *Graph {
 		g := Gnp(n, p, rng)
 		if g.Connected() {
 			return g
-		}
-	}
-	panic(fmt.Sprintf("graph: could not sample connected G(%d,%g)", n, p))
-}
-
-// GnpConnectedCSR is GnpConnected emitting CSR directly.
-func GnpConnectedCSR(n int, p float64, rng *rand.Rand) *CSR {
-	for i := 0; i < 1000; i++ {
-		c := GnpCSR(n, p, rng)
-		if c.Connected() {
-			return c
 		}
 	}
 	panic(fmt.Sprintf("graph: could not sample connected G(%d,%g)", n, p))
@@ -147,10 +118,7 @@ func cycliquesPairs(k, s int) []int32 {
 // CycleOfCliques builds the Theorem 1.4 lower-bound instance: k cliques
 // of size s connected in a cycle through their 0-th members. The total
 // node count is k·s; Δ = s+1 at the connector nodes.
-func CycleOfCliques(k, s int) *Graph { return pairsGraph(k*s, cycliquesPairs(k, s)) }
-
-// CycleOfCliquesCSR is CycleOfCliques emitting CSR directly.
-func CycleOfCliquesCSR(k, s int) *CSR { return fromPairs(k*s, cycliquesPairs(k, s)) }
+func CycleOfCliques(k, s int) *Graph { return fromPairs(k*s, cycliquesPairs(k, s)) }
 
 func starPairs(n int) []int32 {
 	pairs := make([]int32, 0, 2*(n-1))
@@ -162,10 +130,7 @@ func starPairs(n int) []int32 {
 
 // Star builds a star on n nodes with center 0: the extreme max-degree
 // topology used for the streaming-simulator workloads.
-func Star(n int) *Graph { return pairsGraph(n, starPairs(n)) }
-
-// StarCSR is Star emitting CSR directly.
-func StarCSR(n int) *CSR { return fromPairs(n, starPairs(n)) }
+func Star(n int) *Graph { return fromPairs(n, starPairs(n)) }
 
 // hubPairs emits the hub edges followed by the blob sample; the blob
 // draws are identical to a G(n-1,p) over ids shifted by one.
@@ -182,11 +147,6 @@ func hubPairs(n int, p float64, rng *rand.Rand) []int32 {
 // p-pass streaming simulation picks the hub as simulator. The blob
 // inherits Gnp's sampler switch above gnpDenseLimit nodes.
 func HubAndBlob(n int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(n, hubPairs(n, p, rng))
-}
-
-// HubAndBlobCSR is HubAndBlob emitting CSR directly.
-func HubAndBlobCSR(n int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(n, hubPairs(n, p, rng))
 }
 
@@ -258,12 +218,6 @@ func regularPairs(n, d int, rng *rand.Rand) []int32 {
 // multi-edges (rejection alone is hopeless beyond small d). n·d must
 // be even and d < n.
 func RandomRegular(n, d int, rng *rand.Rand) *Graph {
-	return pairsGraph(n, regularPairs(n, d, rng))
-}
-
-// RandomRegularCSR is RandomRegular emitting CSR directly, with the
-// identical draw sequence.
-func RandomRegularCSR(n, d int, rng *rand.Rand) *CSR {
 	return fromPairs(n, regularPairs(n, d, rng))
 }
 
@@ -277,10 +231,7 @@ func pathPairs(n int) []int32 {
 
 // Path builds the n-node path 0-1-...-(n-1); the extreme-diameter
 // topology for aggregation tests.
-func Path(n int) *Graph { return pairsGraph(n, pathPairs(n)) }
-
-// PathCSR is Path emitting CSR directly.
-func PathCSR(n int) *CSR { return fromPairs(n, pathPairs(n)) }
+func Path(n int) *Graph { return fromPairs(n, pathPairs(n)) }
 
 // Complete builds the complete graph K_n with explicit adjacency:
 // O(n²) memory, intended for workload-graph scales. Engine-scale
@@ -290,10 +241,10 @@ func Complete(n int) *Graph {
 	g := New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.addEdge(u, v)
+			g.AddEdge(u, v)
 		}
 	}
-	g.sortAdj()
+	g.Finish()
 	return g
 }
 
@@ -309,10 +260,7 @@ func cyclePairs(n int) []int32 {
 }
 
 // Cycle builds the n-node cycle.
-func Cycle(n int) *Graph { return pairsGraph(n, cyclePairs(n)) }
-
-// CycleCSR is Cycle emitting CSR directly.
-func CycleCSR(n int) *CSR { return fromPairs(n, cyclePairs(n)) }
+func Cycle(n int) *Graph { return fromPairs(n, cyclePairs(n)) }
 
 // barbellPairs draws both blobs. Up to gnpDenseLimit nodes per blob the
 // two blobs' per-pair draws interleave (the historical sequence); above
@@ -340,11 +288,6 @@ func barbellPairs(s int, p float64, rng *rand.Rand) []int32 {
 // BarbellExpanders joins two G(s, p) blobs by a single bridge edge:
 // a standard low-conductance instance for expander-decomposition tests.
 func BarbellExpanders(s int, p float64, rng *rand.Rand) *Graph {
-	return pairsGraph(2*s, barbellPairs(s, p, rng))
-}
-
-// BarbellExpandersCSR is BarbellExpanders emitting CSR directly.
-func BarbellExpandersCSR(s int, p float64, rng *rand.Rand) *CSR {
 	return fromPairs(2*s, barbellPairs(s, p, rng))
 }
 
@@ -360,14 +303,14 @@ func Grid(rows, cols int) *Graph {
 		for c := 0; c < cols; c++ {
 			v := r*cols + c
 			if c+1 < cols {
-				g.addEdge(v, v+1)
+				g.AddEdge(v, v+1)
 			}
 			if r+1 < rows {
-				g.addEdge(v, v+cols)
+				g.AddEdge(v, v+cols)
 			}
 		}
 	}
-	g.sortAdj()
+	g.Finish()
 	return g
 }
 
@@ -383,11 +326,11 @@ func Torus(rows, cols int) *Graph {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			v := r*cols + c
-			g.addEdge(v, r*cols+(c+1)%cols)
-			g.addEdge(v, ((r+1)%rows)*cols+c)
+			g.AddEdge(v, r*cols+(c+1)%cols)
+			g.AddEdge(v, ((r+1)%rows)*cols+c)
 		}
 	}
-	g.sortAdj()
+	g.Finish()
 	return g
 }
 
@@ -404,11 +347,11 @@ func Hypercube(dim int) *Graph {
 		for b := 0; b < dim; b++ {
 			u := v ^ (1 << b)
 			if v < u {
-				g.addEdge(v, u)
+				g.AddEdge(v, u)
 			}
 		}
 	}
-	g.sortAdj()
+	g.Finish()
 	return g
 }
 
@@ -468,37 +411,7 @@ func baPairs(n, attach int, rng *rand.Rand) []int32 {
 // their current degree. Requires n > attach ≥ 1. The result is always
 // connected.
 func BarabasiAlbert(n, attach int, rng *rand.Rand) *Graph {
-	return pairsGraph(n, baPairs(n, attach, rng))
-}
-
-// BarabasiAlbertCSR is BarabasiAlbert emitting the compact CSR
-// representation directly — identical draw sequence, identical
-// adjacency, no per-node slices. This is the engine-scale power-law
-// constructor.
-func BarabasiAlbertCSR(n, attach int, rng *rand.Rand) *CSR {
 	return fromPairs(n, baPairs(n, attach, rng))
-}
-
-// GridCSR builds the rows×cols grid in CSR form (see Grid). For
-// engine-scale runs prefer the implicit sim.NewGrid, which needs no
-// adjacency at all; this exists for CSR-consuming workloads.
-func GridCSR(rows, cols int) *CSR {
-	if rows < 1 || cols < 1 {
-		panic("graph: Grid needs rows, cols ≥ 1")
-	}
-	pairs := make([]int32, 0, 2*(rows*(cols-1)+cols*(rows-1)))
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := int32(r*cols + c)
-			if c+1 < cols {
-				pairs = append(pairs, v, v+1)
-			}
-			if r+1 < rows {
-				pairs = append(pairs, v, v+int32(cols))
-			}
-		}
-	}
-	return fromPairs(rows*cols, pairs)
 }
 
 // ColorEdges assigns each edge of g a color in [1,c] according to

@@ -7,7 +7,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Edge is an undirected edge {U, V} with U < V, optionally labeled.
@@ -16,23 +17,81 @@ type Edge struct {
 	Label int64
 }
 
-// Graph is a simple undirected graph on nodes 0..N-1 with adjacency
-// lists. It implements sim.Topology.
+// Graph is a simple undirected graph on nodes 0..N-1 in compressed
+// sparse row (CSR) layout: one flat neighbor array plus one offset
+// array, nothing per node. Rows are sorted ascending, so a neighbor's
+// index in its row is its port. Graph implements sim.Topology together
+// with all three optional fast paths (DegreeTopology, IndexedTopology,
+// PortedTopology).
+//
+// A graph from New is a builder: AddEdge collects edge pairs and
+// Finish freezes them; reading it before Finish panics. FromEdges,
+// Subgraph and the generators return finished graphs. Node ids are
+// limited to 0 ≤ n ≤ 2^31-1, far beyond the 1M–10M node target.
 type Graph struct {
-	n   int
-	adj [][]int
-	m   int
+	n       int
+	offsets []int   // len n+1 once finished; row v is adj[offsets[v]:offsets[v+1]]
+	adj     []int   // both directions of every edge, so m = len(adj)/2
+	pending []int32 // edge pairs u0,v0,u1,v1,... collected by AddEdge until Finish
 }
 
-// New returns an empty graph on n nodes.
+// checkN panics unless n is a supported node count.
+func checkN(n int) {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: supports 0 ≤ n ≤ %d nodes, got %d", math.MaxInt32, n))
+	}
+}
+
+// New returns an empty graph builder on n nodes. Add edges with
+// AddEdge, then call Finish before reading the graph.
 func New(n int) *Graph {
-	return &Graph{n: n, adj: make([][]int, n)}
+	checkN(n)
+	return &Graph{n: n}
+}
+
+// fromPairs builds a finished graph on n nodes from a flat undirected
+// edge list (u0,v0,u1,v1,...). The input is trusted: no self-loops, no
+// duplicate edges, every id in [0,n). All generators in this package
+// emit such lists.
+func fromPairs(n int, pairs []int32) *Graph {
+	checkN(n)
+	g := &Graph{n: n}
+	g.freeze(pairs)
+	return g
+}
+
+// freeze lays pairs out as g's sorted CSR rows by counting sort.
+func (g *Graph) freeze(pairs []int32) {
+	n := g.n
+	g.offsets, g.adj = make([]int, n+1), make([]int, len(pairs))
+	off := g.offsets
+	for _, v := range pairs {
+		off[v+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	// Place both directions of every edge using off[v] as row v's write
+	// cursor; afterwards off[v] is the end of row v, so shifting the
+	// array right by one restores the row starts without a cursor copy.
+	for i := 0; i < len(pairs); i += 2 {
+		u, v := pairs[i], pairs[i+1]
+		g.adj[off[u]] = int(v)
+		off[u]++
+		g.adj[off[v]] = int(u)
+		off[v]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	for v := 0; v < n; v++ {
+		slices.Sort(g.adj[off[v]:off[v+1]])
+	}
 }
 
 // FromEdges builds a graph on n nodes from an edge list. Duplicate and
 // self-loop edges are rejected.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
+	pairs := make([]int32, 0, 2*len(edges))
 	seen := make(map[[2]int]bool, len(edges))
 	for _, e := range edges {
 		u, v := e.U, e.V
@@ -49,52 +108,91 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 		}
 		seen[[2]int{u, v}] = true
-		g.addEdge(u, v)
+		pairs = append(pairs, int32(u), int32(v))
 	}
-	g.sortAdj()
-	return g, nil
+	return fromPairs(n, pairs), nil
 }
 
-func (g *Graph) addEdge(u, v int) {
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-	g.m++
+// AddEdge records the undirected edge {u,v} on a New builder. It does
+// not check for duplicates; use FromEdges for validated construction.
+// Call Finish after the last AddEdge.
+func (g *Graph) AddEdge(u, v int) {
+	if g.offsets != nil {
+		panic("graph: AddEdge after Finish")
+	}
+	if u < 0 || v < 0 || u >= g.n || v >= g.n {
+		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n))
+	}
+	g.pending = append(g.pending, int32(u), int32(v))
 }
 
-// AddEdge inserts the undirected edge {u,v}. It does not check for
-// duplicates; use FromEdges for validated construction. Call sortAdj via
-// Finish after bulk insertion.
-func (g *Graph) AddEdge(u, v int) { g.addEdge(u, v) }
-
-// Finish sorts adjacency lists; call once after bulk AddEdge use.
-func (g *Graph) Finish() { g.sortAdj() }
-
-func (g *Graph) sortAdj() {
-	for _, a := range g.adj {
-		sort.Ints(a)
+// Finish freezes the edges recorded by AddEdge into the sorted CSR
+// layout. Later calls are no-ops.
+func (g *Graph) Finish() {
+	if g.offsets == nil {
+		g.freeze(g.pending)
+		g.pending = nil
 	}
+}
+
+// errUnfinished is the panic for reading a New builder before Finish.
+const errUnfinished = "graph: Graph read before Finish (call Finish after the last AddEdge)"
+
+// row returns v's sorted neighbor row.
+func (g *Graph) row(v int) []int {
+	if g.offsets == nil {
+		panic(errUnfinished)
+	}
+	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
 // N returns the node count.
 func (g *Graph) N() int { return g.n }
 
 // M returns the edge count.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int {
+	if g.offsets == nil {
+		panic(errUnfinished)
+	}
+	return len(g.adj) / 2
+}
 
-// Neighbors returns v's sorted neighbor list. The slice must not be
+// Neighbors returns v's sorted neighbor list as a view into the flat
+// adjacency array: no copy, no allocation. The slice must not be
 // modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int { return g.row(v) }
 
 // Degree returns deg(v).
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return len(g.row(v)) }
+
+// NeighborAt returns v's neighbor on the given port (its index in the
+// ascending neighbor row).
+func (g *Graph) NeighborAt(v, port int) int {
+	r := g.row(v)
+	if port < 0 || port >= len(r) {
+		panic(fmt.Sprintf("graph: node %d has no port %d (degree %d)", v, port, len(r)))
+	}
+	return r[port]
+}
+
+// PortOf returns the port of neighbor id as seen from v via binary
+// search over v's row, or -1 when not adjacent.
+func (g *Graph) PortOf(v, id int) int {
+	i, ok := slices.BinarySearch(g.row(v), id)
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// HasEdge reports whether {u,v} is present.
+func (g *Graph) HasEdge(u, v int) bool { return g.PortOf(u, v) >= 0 }
 
 // MaxDegree returns Δ.
 func (g *Graph) MaxDegree() int {
 	d := 0
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
+		d = max(d, g.Degree(v))
 	}
 	return d
 }
@@ -104,21 +202,19 @@ func (g *Graph) AvgDegree() float64 {
 	if g.n == 0 {
 		return 0
 	}
-	return 2 * float64(g.m) / float64(g.n)
+	return 2 * float64(g.M()) / float64(g.n)
 }
 
-// HasEdge reports whether {u,v} is present, via binary search.
-func (g *Graph) HasEdge(u, v int) bool {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
-}
+// CSRBytes is the memory model of a finished Graph, used by the topo
+// registry's build budget: offsets (8 B per node, plus one) and both
+// directions of every edge (8 B each).
+func CSRBytes(n int, m int64) int64 { return 8*(int64(n)+1) + 16*m }
 
 // Edges returns all edges with U < V in lexicographic order.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.m)
+	es := make([]Edge, 0, g.M())
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.row(u) {
 			if u < v {
 				es = append(es, Edge{U: u, V: v})
 			}
@@ -145,7 +241,7 @@ func (g *Graph) Diameter() int {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, u := range g.adj[v] {
+			for _, u := range g.row(v) {
 				if dist[u] < 0 {
 					dist[u] = dist[v] + 1
 					if dist[u] > diam {
@@ -175,7 +271,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, u := range g.adj[v] {
+		for _, u := range g.row(v) {
 			if !seen[u] {
 				seen[u] = true
 				cnt++
@@ -199,14 +295,13 @@ func (g *Graph) Subgraph(keep map[int]bool) (*Graph, []int) {
 	for i, v := range orig {
 		newID[v] = i
 	}
-	sub := New(len(orig))
+	var pairs []int32
 	for i, v := range orig {
-		for _, u := range g.adj[v] {
+		for _, u := range g.row(v) {
 			if j, ok := newID[u]; ok && i < j {
-				sub.addEdge(i, j)
+				pairs = append(pairs, int32(i), int32(j))
 			}
 		}
 	}
-	sub.sortAdj()
-	return sub, orig
+	return fromPairs(len(orig), pairs), orig
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +37,187 @@ func TestFromEdgesRejectsBad(t *testing.T) {
 	}
 	if _, err := FromEdges(3, []Edge{{U: 0, V: 5}}); err == nil {
 		t.Fatal("out of range accepted")
+	}
+	if _, err := FromEdges(3, []Edge{{U: -1, V: 2}}); err == nil {
+		t.Fatal("negative id accepted")
+	}
+}
+
+// panicMessage runs f and returns what it panicked with ("" if it
+// returned normally).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestBuilderContract pins the New/AddEdge/Finish life cycle: every
+// read of an unfinished builder panics with a message naming the
+// misuse (not an index-out-of-range), AddEdge after Finish panics, and
+// Finish is idempotent.
+func TestBuilderContract(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 1)
+	reads := map[string]func(){
+		"Neighbors":  func() { g.Neighbors(0) },
+		"Degree":     func() { g.Degree(0) },
+		"NeighborAt": func() { g.NeighborAt(0, 0) },
+		"PortOf":     func() { g.PortOf(0, 1) },
+		"HasEdge":    func() { g.HasEdge(0, 1) },
+		"M":          func() { g.M() },
+		"MaxDegree":  func() { g.MaxDegree() },
+		"AvgDegree":  func() { g.AvgDegree() },
+		"Edges":      func() { g.Edges() },
+		"Connected":  func() { g.Connected() },
+		"Diameter":   func() { g.Diameter() },
+	}
+	for name, read := range reads {
+		if msg := panicMessage(read); !strings.Contains(msg, "before Finish") {
+			t.Errorf("%s before Finish: panic %q, want one naming the missing Finish", name, msg)
+		}
+	}
+	if msg := panicMessage(func() { g.AddEdge(1, 3) }); !strings.Contains(msg, "out of range") {
+		t.Errorf("AddEdge out of range: panic %q", msg)
+	}
+	g.AddEdge(2, 1)
+	g.Finish()
+	g.Finish()
+	if g.M() != 2 || !g.HasEdge(1, 2) || g.Degree(1) != 2 {
+		t.Fatalf("finished builder: m=%d edges=%v", g.M(), g.Edges())
+	}
+	if msg := panicMessage(func() { g.AddEdge(0, 2) }); !strings.Contains(msg, "after Finish") {
+		t.Errorf("AddEdge after Finish: panic %q", msg)
+	}
+	empty := New(0)
+	empty.Finish()
+	if empty.M() != 0 || empty.MaxDegree() != 0 || !empty.Connected() {
+		t.Fatal("empty finished graph misreports")
+	}
+}
+
+// TestNeighborsAllocFree pins Neighbors as a zero-copy view of the
+// flat adjacency: clique listing calls it in its inner loop.
+func TestNeighborsAllocFree(t *testing.T) {
+	g := BarabasiAlbert(512, 3, rand.New(rand.NewSource(3)))
+	sum := 0
+	if a := testing.AllocsPerRun(100, func() {
+		for v := 0; v < g.N(); v++ {
+			sum += len(g.Neighbors(v))
+		}
+	}); a != 0 {
+		t.Fatalf("Neighbors allocates %v times per sweep", a)
+	}
+	if sum == 0 {
+		t.Fatal("no neighbors seen")
+	}
+}
+
+// TestPortsMatchNeighbors checks the engine fast paths against the
+// neighbor rows on every generator: rows are sorted and duplicate-free,
+// Degree is the row length, and NeighborAt/PortOf are inverse along
+// the row.
+func TestPortsMatchNeighbors(t *testing.T) {
+	seed := func() *rand.Rand { return rand.New(rand.NewSource(99)) }
+	cases := map[string]*Graph{
+		"cycle":     Cycle(97),
+		"path":      Path(41),
+		"star":      Star(33),
+		"cycliques": CycleOfCliques(5, 6),
+		"grid":      Grid(7, 5),
+		"torus":     Torus(4, 5),
+		"hypercube": Hypercube(5),
+		"complete":  Complete(9),
+		"gnp":       Gnp(60, 0.3, seed()),
+		"gnpconn":   GnpConnected(40, 0.2, seed()),
+		"hub":       HubAndBlob(50, 0.25, seed()),
+		"barbell":   BarbellExpanders(20, 0.4, seed()),
+		"regular":   RandomRegular(48, 5, seed()),
+		"powerlaw":  BarabasiAlbert(300, 3, seed()),
+	}
+	for name, g := range cases {
+		for v := 0; v < g.N(); v++ {
+			row := g.Neighbors(v)
+			if g.Degree(v) != len(row) {
+				t.Fatalf("%s: node %d degree %d, row length %d", name, v, g.Degree(v), len(row))
+			}
+			for p, u := range row {
+				if p > 0 && row[p-1] >= u {
+					t.Fatalf("%s: node %d row not strictly ascending: %v", name, v, row)
+				}
+				if got := g.NeighborAt(v, p); got != u {
+					t.Fatalf("%s: NeighborAt(%d,%d) = %d, want %d", name, v, p, got, u)
+				}
+				if got := g.PortOf(v, u); got != p {
+					t.Fatalf("%s: PortOf(%d,%d) = %d, want %d", name, v, u, got, p)
+				}
+			}
+			if g.PortOf(v, v) != -1 || g.PortOf(v, -1) != -1 || g.PortOf(v, g.N()) != -1 {
+				t.Fatalf("%s: PortOf(%d, non-neighbor) should be -1", name, v)
+			}
+		}
+		if msg := panicMessage(func() { g.NeighborAt(0, g.Degree(0)) }); !strings.Contains(msg, "no port") {
+			t.Fatalf("%s: NeighborAt past the degree: panic %q", name, msg)
+		}
+	}
+}
+
+// TestCSRConnected pins Connected on both sides of the truth.
+func TestCSRConnected(t *testing.T) {
+	if !Cycle(50).Connected() {
+		t.Error("cycle must be connected")
+	}
+	if Gnp(50, 0, rand.New(rand.NewSource(1))).Connected() {
+		t.Error("empty G(50,0) must be disconnected")
+	}
+	if !Gnp(1, 0, rand.New(rand.NewSource(1))).Connected() {
+		t.Error("single node is connected")
+	}
+}
+
+// TestCSRBytes pins the memory model the topo registry budgets with
+// against the arrays a finished graph actually holds.
+func TestCSRBytes(t *testing.T) {
+	g := BarabasiAlbert(1000, 3, rand.New(rand.NewSource(1)))
+	held := 8 * int64(cap(g.offsets)+cap(g.adj))
+	if got := CSRBytes(g.N(), int64(g.M())); got != held {
+		t.Fatalf("CSRBytes(%d,%d) = %d, graph holds %d", g.N(), g.M(), got, held)
+	}
+	if want := int64(8*1001 + 16*1000); CSRBytes(1000, 1000) != want {
+		t.Fatalf("CSRBytes(1000,1000) = %d, want %d", CSRBytes(1000, 1000), want)
+	}
+}
+
+// TestGnpSparseSampler checks the skip-sampling regime above
+// gnpDenseLimit: determinism for equal seeds, symmetric well-formed
+// adjacency, and an edge count within a loose binomial window.
+func TestGnpSparseSampler(t *testing.T) {
+	const n = 3000 // > gnpDenseLimit
+	const p = 0.001
+	a := Gnp(n, p, rand.New(rand.NewSource(7)))
+	b := Gnp(n, p, rand.New(rand.NewSource(7)))
+	if a.M() != b.M() {
+		t.Fatalf("same seed, different edge counts: %d vs %d", a.M(), b.M())
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
+			t.Fatalf("same seed, node %d rows %v vs %v", v, a.Neighbors(v), b.Neighbors(v))
+		}
+		for _, u := range a.Neighbors(v) {
+			if u == v {
+				t.Fatalf("self-loop at %d", v)
+			}
+			if !a.HasEdge(u, v) {
+				t.Fatalf("asymmetric edge {%d,%d}", v, u)
+			}
+		}
+	}
+	exp := p * float64(n) * float64(n-1) / 2 // ≈ 4498
+	if m := float64(a.M()); m < exp/2 || m > 2*exp {
+		t.Errorf("edge count %v far from expectation %v", m, exp)
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 )
 
 // BuildTopology materializes the scenario's communication graph through
-// the topo registry: the explicit *graph.Graph by default, or — for
-// compact scenarios — the registry's compact representation
-// (topo.Spec.BuildTopology: CSR adjacency or engine-native implicit
-// arithmetic), which answers through the DegreeTopology /
-// IndexedTopology / PortedTopology fast paths the explicit graph does
-// not implement.
+// the topo registry: the *graph.Graph by default, or — for compact
+// scenarios — topo.Spec.BuildTopology, which is the engine-native
+// implicit arithmetic topology for grid/torus/hypercube/complete and
+// the same *graph.Graph for every other family.
 func BuildTopology(sc Scenario) (sim.Topology, error) {
 	spec, err := topo.Parse(sc.TopoSpec)
 	if err != nil {
@@ -43,14 +41,10 @@ func buildExplicit(spec topo.Spec, seed int64) (*graph.Graph, error) {
 
 // repr names the representation class of a built topology.
 func repr(t sim.Topology) string {
-	switch t.(type) {
-	case *graph.Graph:
+	if _, ok := t.(*graph.Graph); ok {
 		return "graph"
-	case *graph.CSR:
-		return "csr"
-	default:
-		return "implicit"
 	}
+	return "implicit"
 }
 
 // Outcome summarizes what a checked scenario's (agreed-upon) execution
@@ -72,7 +66,7 @@ type Outcome struct {
 	Restarts   int64
 	FaultDrops int64
 	// Repr is the representation class the scenario actually ran on
-	// ("graph", "csr" or "implicit"), for corpus coverage accounting.
+	// ("graph" or "implicit"), for corpus coverage accounting.
 	Repr string
 }
 
@@ -129,13 +123,13 @@ func CheckScenario(sc Scenario, workers ...int) (Outcome, error) {
 		Repr:       repr(g),
 	}
 
-	// Compact scenarios additionally certify the representation itself:
-	// the reference engine rerun on the explicit graph (same generator
-	// seed, shared draw sequence) must agree byte-for-byte with the run
-	// on the compact topology — any adjacency, ordering or port skew
-	// between the representations diverges here before it can masquerade
-	// as an engine bug.
-	if sc.Compact {
+	// Scenarios on an implicit topology additionally certify the
+	// representation itself: the reference engine rerun on the Build
+	// graph (same spec, same seed) must agree byte-for-byte with the run
+	// on the implicit topology — any adjacency, ordering or port skew
+	// between the two diverges here before it can masquerade as an
+	// engine bug.
+	if out.Repr == "implicit" {
 		spec, err := topo.Parse(sc.TopoSpec)
 		if err != nil {
 			return out, err

@@ -53,16 +53,13 @@ type Scenario struct {
 	Order  sim.InboxOrder
 	// EdgeCap is the per-edge per-round message budget (≥ 1).
 	EdgeCap int
-	// Compact selects the registry's compact representation
-	// (topo.Spec.BuildTopology: CSR adjacency for generated families,
-	// engine-native implicit arithmetic for grid/torus/hypercube/
-	// complete) instead of the explicit *graph.Graph. Compact and
-	// explicit builds share generator draw sequences, so the two
-	// representations are edge-for-edge identical — CheckScenario
-	// certifies that differentially by running the reference engine on
-	// both and requiring byte-identical results, while the production
-	// engine runs exercise the DegreeTopology / IndexedTopology /
-	// PortedTopology fast paths the explicit graph does not implement.
+	// Compact selects topo.Spec.BuildTopology instead of Spec.Build.
+	// For grid/torus/hypercube/complete that is the engine-native
+	// implicit arithmetic topology, which must be edge-for-edge
+	// identical to the Build graph — CheckScenario certifies that
+	// differentially by running the reference engine on both and
+	// requiring byte-identical results. For every other family both
+	// builds return the same *graph.Graph.
 	Compact bool
 	// Behavior names the node program (see behaviors.go); Rounds is its
 	// horizon. FailNode/FailRound parameterize the node-error behavior
@@ -90,9 +87,9 @@ func (s Scenario) String() string {
 // fuzz target can feed arbitrary seeds straight through.
 func Generate(rng *rand.Rand) Scenario {
 	spec, n, compact := drawTopo(rng)
-	// Beyond the complete-family draw, a third of scenarios run the
-	// production engine on the compact representation of whatever family
-	// was drawn (CSR or implicit), certified against the explicit graph
+	// Beyond the complete-family draw, a third of scenarios build through
+	// BuildTopology; on the implicit families that runs the production
+	// engine on the implicit topology, certified against the Build graph
 	// by an extra reference run inside CheckScenario.
 	if !compact {
 		compact = rng.Intn(3) == 0

@@ -93,12 +93,12 @@ func TestDifferentialEngineRandomized(t *testing.T) {
 			t.Errorf("corpus never drew registered topology family %q", fam)
 		}
 	}
-	// Every representation class must run: the explicit baseline, the
-	// compact CSR adjacency, and the implicit arithmetic topologies —
-	// each compact scenario is also cross-certified against its explicit
-	// twin inside CheckScenario, so nonzero counts here mean the
-	// representation equivalence was actually exercised differentially.
-	for _, r := range []string{"graph", "csr", "implicit"} {
+	// Every representation class must run: the CSR-backed graph and the
+	// implicit arithmetic topologies — each implicit scenario is also
+	// cross-certified against its Build graph inside CheckScenario, so a
+	// nonzero count here means the representation equivalence was
+	// actually exercised differentially.
+	for _, r := range []string{"graph", "implicit"} {
 		if reprs[r] == 0 {
 			t.Errorf("corpus never ran a scenario on the %q representation", r)
 		}

@@ -8,29 +8,41 @@ import (
 	"mucongest/internal/graph"
 )
 
-// This file pins the topology-representation contract: the compact CSR
-// graphs and the implicit arithmetic topologies must be edge-for-edge,
-// port-for-port interchangeable with their explicit counterparts — the
-// historical golden digests reproduce bit-for-bit on the new
-// representations, in both execution modes, for every inbox order.
+// This file pins the topology-representation contract: the engine's
+// plain-Topology path and the implicit arithmetic topologies must be
+// edge-for-edge, port-for-port interchangeable with the graph.Graph
+// fast paths — the historical golden digests reproduce bit-for-bit on
+// every representation, in both execution modes, for every inbox
+// order.
 
-// TestGoldenDigestsOnCSR reruns the golden determinism corpora on the
-// CSR representation: the cycle and powerlaw graphs built directly in
-// CSR form (identical generator draw sequences) must reproduce the
-// digests recorded on the explicit graphs, goroutine and step mode
-// alike. A single byte of divergence in adjacency, port numbering or
-// the engine fast paths the CSR takes would shift the digest.
-func TestGoldenDigestsOnCSR(t *testing.T) {
+// plainTopo hides every optional fast path of the wrapped topology,
+// exposing only N and Neighbors, so the engine falls back to Ctx's
+// neighbor-slice and PortOf-map paths.
+type plainTopo struct{ t Topology }
+
+func (p plainTopo) N() int                { return p.t.N() }
+func (p plainTopo) Neighbors(v int) []int { return p.t.Neighbors(v) }
+
+// TestGoldenDigestsOnPlainTopology reruns the golden determinism
+// corpora through the plain-Topology path: the cycle and powerlaw
+// graphs behind plainTopo must reproduce the digests recorded with the
+// graph.Graph fast paths, goroutine and step mode alike. A single byte
+// of divergence between the fallback and the DegreeTopology /
+// IndexedTopology / PortedTopology paths would shift the digest.
+func TestGoldenDigestsOnPlainTopology(t *testing.T) {
 	corpora := []struct {
 		name   string
 		topo   Topology
 		seed   int64
 		golden map[InboxOrder]uint64
 	}{
-		{"cycle1536csr", graph.CycleCSR(1536), 7, goldenCycle1536},
-		{"powerlaw1536csr", graph.BarabasiAlbertCSR(1536, 3, rand.New(rand.NewSource(13))), 7, goldenPowerlaw1536},
+		{"cycle1536plain", plainTopo{graph.Cycle(1536)}, 7, goldenCycle1536},
+		{"powerlaw1536plain", plainTopo{graph.BarabasiAlbert(1536, 3, rand.New(rand.NewSource(13)))}, 7, goldenPowerlaw1536},
 	}
 	for _, cp := range corpora {
+		if _, ok := cp.topo.(DegreeTopology); ok {
+			t.Fatalf("%s: wrapper leaks DegreeTopology", cp.name)
+		}
 		for order, want := range cp.golden {
 			for _, w := range []int{1, 3} {
 				e := New(cp.topo, WithSeed(cp.seed), WithInboxOrder(order), WithSimWorkers(w))

@@ -134,8 +134,8 @@ func TestBuildTopologyMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Estimate: %v", f.Name, err)
 		}
-		_, isCSR := tp.(*graph.CSR)
-		if (est.Repr == "csr") != isCSR {
+		_, isGraph := tp.(*graph.Graph)
+		if (est.Repr == "csr") != isGraph {
 			t.Errorf("%s: estimate says %s but BuildTopology returned %T", f.Name, est.Repr, tp)
 		}
 	}
@@ -181,9 +181,9 @@ func TestBuildTopologyMillion(t *testing.T) {
 		if tp.N() < n {
 			t.Fatalf("%s: n=%d, want ≥ %d", spec, tp.N(), n)
 		}
-		if c, ok := tp.(*graph.CSR); ok {
-			if c.Bytes() > DefaultTopoBudget {
-				t.Fatalf("%s: built CSR is %d bytes, over budget", spec, c.Bytes())
+		if g, ok := tp.(*graph.Graph); ok {
+			if b := graph.CSRBytes(g.N(), int64(g.M())); b > DefaultTopoBudget {
+				t.Fatalf("%s: built graph is %d bytes, over budget", spec, b)
 			}
 		}
 		// Spot-check the port contract on a few nodes without touching

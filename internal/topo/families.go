@@ -23,15 +23,17 @@ func estEdges(x float64) int64 {
 // parameters in the order declared here, so keep parameter order
 // meaningful (size first, then shape knobs).
 //
-// Each family has three construction views: Build (explicit
-// *graph.Graph, the historical representation), Topo (the compact
-// engine topology — CSR for generated graphs, O(1) implicit arithmetic
-// for grid/torus/hypercube/complete) and Estimate (projected footprint
-// of Topo's representation). Build and Topo share generator draw
-// sequences, so for equal rng states the two representations are
-// edge-for-edge and port-for-port identical. Families whose explicit
-// form is inherently quadratic (complete) or exponential (hypercube)
-// keep documented caps on Build only; Topo lifts them.
+// Each family's Estimate is also its one parameter check: it reads
+// every parameter and rejects invalid values, and Spec.Build,
+// Spec.BuildTopology and Spec.Estimate all run it first, so an invalid
+// spec fails with the same error from each and Build and Topo only
+// ever see valid values. Build returns the CSR-backed *graph.Graph.
+// Topo is set only for the implicit families (grid, torus, hypercube,
+// complete), whose engine topology is O(1) arithmetic instead of
+// adjacency; BuildTopology uses Build for every other family. Families
+// whose explicit form is inherently quadratic (complete) or
+// exponential (hypercube) keep documented caps on Build only; Topo
+// lifts them.
 var registry = []Family{
 	{
 		Name: "gnp",
@@ -42,45 +44,13 @@ var registry = []Family{
 			{"conn", "0", "resample until connected (0/1)", KindBool},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n, p, conn := v.Int("n"), v.Float("p"), v.Bool("conn")
-			if err := v.Err(); err != nil {
-				return nil, err
+			if v.Bool("conn") {
+				return graph.GnpConnected(v.Int("n"), v.Float("p"), rng), nil
 			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: gnp needs n ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
-			}
-			if conn {
-				if n > 1 && p == 0 {
-					return nil, fmt.Errorf("topo: gnp with conn=1 needs p > 0")
-				}
-				return graph.GnpConnected(n, p, rng), nil
-			}
-			return graph.Gnp(n, p, rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, p, conn := v.Int("n"), v.Float("p"), v.Bool("conn")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: gnp needs n ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
-			}
-			if conn {
-				if n > 1 && p == 0 {
-					return nil, fmt.Errorf("topo: gnp with conn=1 needs p > 0")
-				}
-				return graph.GnpConnectedCSR(n, p, rng), nil
-			}
-			return graph.GnpCSR(n, p, rng), nil
+			return graph.Gnp(v.Int("n"), v.Float("p"), rng), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
-			n, p := v.Int("n"), v.Float("p")
+			n, p, conn := v.Int("n"), v.Float("p"), v.Bool("conn")
 			if err := v.Err(); err != nil {
 				return Estimate{}, err
 			}
@@ -89,6 +59,9 @@ var registry = []Family{
 			}
 			if p < 0 || p > 1 {
 				return Estimate{}, fmt.Errorf("topo: gnp needs 0 ≤ p ≤ 1")
+			}
+			if conn && n > 1 && p == 0 {
+				return Estimate{}, fmt.Errorf("topo: gnp with conn=1 needs p > 0")
 			}
 			return csrEstimate(n, estEdges(p*float64(n)*float64(n-1)/2)), nil
 		},
@@ -101,24 +74,7 @@ var registry = []Family{
 			{"size", "8", "clique size (≥ 2)", KindInt},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			k, size := v.Int("k"), v.Int("size")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if k < 3 || size < 2 {
-				return nil, fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
-			}
-			return graph.CycleOfCliques(k, size), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			k, size := v.Int("k"), v.Int("size")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if k < 3 || size < 2 {
-				return nil, fmt.Errorf("topo: cycliques needs k ≥ 3, size ≥ 2")
-			}
-			return graph.CycleOfCliquesCSR(k, size), nil
+			return graph.CycleOfCliques(v.Int("k"), v.Int("size")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			k, size := v.Int("k"), v.Int("size")
@@ -140,30 +96,7 @@ var registry = []Family{
 			{"p", "0.3", "blob edge probability", KindFloat},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n, p := v.Int("n"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: hub needs n ≥ 2")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
-			}
-			return graph.HubAndBlob(n, p, rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, p := v.Int("n"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: hub needs n ≥ 2")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: hub needs 0 ≤ p ≤ 1")
-			}
-			return graph.HubAndBlobCSR(n, p, rng), nil
+			return graph.HubAndBlob(v.Int("n"), v.Float("p"), rng), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n, p := v.Int("n"), v.Float("p")
@@ -188,24 +121,7 @@ var registry = []Family{
 			{"d", "8", "degree (n·d even, d < n)", KindInt},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n, d := v.Int("n"), v.Int("d")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if d < 1 || d >= n || n*d%2 != 0 {
-				return nil, fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
-			}
-			return graph.RandomRegular(n, d, rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, d := v.Int("n"), v.Int("d")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if d < 1 || d >= n || n*d%2 != 0 {
-				return nil, fmt.Errorf("topo: regular needs 1 ≤ d < n with n·d even")
-			}
-			return graph.RandomRegularCSR(n, d, rng), nil
+			return graph.RandomRegular(v.Int("n"), v.Int("d"), rng), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n, d := v.Int("n"), v.Int("d")
@@ -223,24 +139,7 @@ var registry = []Family{
 		Doc:    "star with center 0 (extreme max degree)",
 		Params: []Param{{"n", "48", "node count", KindInt}},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: star needs n ≥ 2")
-			}
-			return graph.Star(n), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 2 {
-				return nil, fmt.Errorf("topo: star needs n ≥ 2")
-			}
-			return graph.StarCSR(n), nil
+			return graph.Star(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n := v.Int("n")
@@ -261,30 +160,7 @@ var registry = []Family{
 			{"p", "0.5", "blob edge probability", KindFloat},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			size, p := v.Int("size"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if size < 1 {
-				return nil, fmt.Errorf("topo: barbell needs size ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
-			}
-			return graph.BarbellExpanders(size, p, rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			size, p := v.Int("size"), v.Float("p")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if size < 1 {
-				return nil, fmt.Errorf("topo: barbell needs size ≥ 1")
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("topo: barbell needs 0 ≤ p ≤ 1")
-			}
-			return graph.BarbellExpandersCSR(size, p, rng), nil
+			return graph.BarbellExpanders(v.Int("size"), v.Float("p"), rng), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			size, p := v.Int("size"), v.Float("p")
@@ -306,24 +182,7 @@ var registry = []Family{
 		Doc:    "path 0-1-...-(n-1) (extreme diameter)",
 		Params: []Param{{"n", "48", "node count", KindInt}},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: path needs n ≥ 1")
-			}
-			return graph.Path(n), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: path needs n ≥ 1")
-			}
-			return graph.PathCSR(n), nil
+			return graph.Path(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n := v.Int("n")
@@ -341,24 +200,7 @@ var registry = []Family{
 		Doc:    "n-node cycle",
 		Params: []Param{{"n", "48", "node count (≥ 3)", KindInt}},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 3 {
-				return nil, fmt.Errorf("topo: cycle needs n ≥ 3")
-			}
-			return graph.Cycle(n), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 3 {
-				return nil, fmt.Errorf("topo: cycle needs n ≥ 3")
-			}
-			return graph.CycleCSR(n), nil
+			return graph.Cycle(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n := v.Int("n")
@@ -379,24 +221,10 @@ var registry = []Family{
 			{"cols", "8", "grid columns", KindInt},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 1 || cols < 1 {
-				return nil, fmt.Errorf("topo: grid needs rows, cols ≥ 1")
-			}
-			return graph.Grid(rows, cols), nil
+			return graph.Grid(v.Int("rows"), v.Int("cols")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 1 || cols < 1 {
-				return nil, fmt.Errorf("topo: grid needs rows, cols ≥ 1")
-			}
-			return sim.NewGrid(rows, cols), nil
+			return sim.NewGrid(v.Int("rows"), v.Int("cols")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			rows, cols := v.Int("rows"), v.Int("cols")
@@ -418,24 +246,10 @@ var registry = []Family{
 			{"cols", "8", "torus columns (≥ 3)", KindInt},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 3 || cols < 3 {
-				return nil, fmt.Errorf("topo: torus needs rows, cols ≥ 3")
-			}
-			return graph.Torus(rows, cols), nil
+			return graph.Torus(v.Int("rows"), v.Int("cols")), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			rows, cols := v.Int("rows"), v.Int("cols")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if rows < 3 || cols < 3 {
-				return nil, fmt.Errorf("topo: torus needs rows, cols ≥ 3")
-			}
-			return sim.NewTorus(rows, cols), nil
+			return sim.NewTorus(v.Int("rows"), v.Int("cols")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			rows, cols := v.Int("rows"), v.Int("cols")
@@ -454,23 +268,13 @@ var registry = []Family{
 		Params: []Param{{"dim", "6", "dimension (1..30; explicit Build 1..20)", KindInt}},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			dim := v.Int("dim")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if dim < 1 || dim > 20 {
+			if dim > 20 {
 				return nil, fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 20 (explicit adjacency; the implicit topology goes to 30)")
 			}
 			return graph.Hypercube(dim), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			dim := v.Int("dim")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if dim < 1 || dim > 30 {
-				return nil, fmt.Errorf("topo: hypercube needs 1 ≤ dim ≤ 30")
-			}
-			return sim.NewHypercube(dim), nil
+			return sim.NewHypercube(v.Int("dim")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			dim := v.Int("dim")
@@ -491,23 +295,13 @@ var registry = []Family{
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
 			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 || n > 2048 {
+			if n > 2048 {
 				return nil, fmt.Errorf("topo: complete needs 1 ≤ n ≤ 2048 (K_n materializes n² adjacency; BuildTopology/sim.NewComplete is O(1) at any n)")
 			}
 			return graph.Complete(n), nil
 		},
 		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n := v.Int("n")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("topo: complete needs n ≥ 1")
-			}
-			return sim.NewComplete(n), nil
+			return sim.NewComplete(v.Int("n")), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n := v.Int("n")
@@ -528,24 +322,7 @@ var registry = []Family{
 			{"attach", "3", "edges per new node (1 ≤ attach < n)", KindInt},
 		},
 		Build: func(v *Values, rng *rand.Rand) (*graph.Graph, error) {
-			n, attach := v.Int("n"), v.Int("attach")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if attach < 1 || n <= attach {
-				return nil, fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
-			}
-			return graph.BarabasiAlbert(n, attach, rng), nil
-		},
-		Topo: func(v *Values, rng *rand.Rand) (sim.Topology, error) {
-			n, attach := v.Int("n"), v.Int("attach")
-			if err := v.Err(); err != nil {
-				return nil, err
-			}
-			if attach < 1 || n <= attach {
-				return nil, fmt.Errorf("topo: powerlaw needs n > attach ≥ 1")
-			}
-			return graph.BarabasiAlbertCSR(n, attach, rng), nil
+			return graph.BarabasiAlbert(v.Int("n"), v.Int("attach"), rng), nil
 		},
 		Estimate: func(v *Values) (Estimate, error) {
 			n, attach := v.Int("n"), v.Int("attach")

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,10 @@ import (
 // rebuild the graph from it. Equivalent spellings of the same value
 // ("p=.5", "p=0.50", "conn=true") must canonicalize to the same string,
 // so grouping runs by canonical spec is sound.
+//
+// A spec that parses but fails its family's parameter check must get
+// the identical error from Estimate, Build and BuildTopology (the check
+// runs before anything is built, so the fuzzer never builds a graph).
 //
 // The seed corpus covers every registered family three ways: the bare
 // name, the canonical fully-explicit form, and a single-argument form —
@@ -31,6 +36,7 @@ func FuzzTopoParse(f *testing.F) {
 		"", ":", "nope", "nope:n=4", "gnp:", "gnp:n", "gnp:n=", "gnp:=4",
 		"gnp:n=4,n=4", "gnp:q=4", "torus:rows=,", "cycle:n=four",
 		"grid:rows=3,cols", "  ", "gnp:n==5", "cycle:n=-1", "powerlaw:n=1,attach=9",
+		"hypercube:dim=99", "gnp:p=7", "regular:n=7,d=3",
 	} {
 		f.Add(bad)
 	}
@@ -52,6 +58,14 @@ func FuzzTopoParse(f *testing.F) {
 		}
 		if sp2.Family != sp.Family {
 			t.Fatalf("family changed across round-trip: %q -> %q", sp.Family, sp2.Family)
+		}
+		if _, estErr := sp.Estimate(); estErr != nil {
+			_, buildErr := sp.Build(rand.New(rand.NewSource(1)))
+			_, topoErr := sp.BuildTopology(rand.New(rand.NewSource(1)))
+			if buildErr == nil || buildErr.Error() != estErr.Error() ||
+				topoErr == nil || topoErr.Error() != estErr.Error() {
+				t.Fatalf("%q: Estimate error %q, Build %v, BuildTopology %v", s, estErr, buildErr, topoErr)
+			}
 		}
 		// Equivalent spellings of every explicitly-given parameter must
 		// canonicalize to the same string as the original spec.

@@ -14,8 +14,8 @@
 // recorded run names its topology reproducibly.
 //
 // Spec.BuildTopology builds the most compact representation the family
-// supports — CSR adjacency for generated graphs, O(1) implicit
-// arithmetic topologies for grid/torus/hypercube/complete — and
+// supports — the CSR-backed *graph.Graph for generated graphs, O(1)
+// implicit arithmetic topologies for grid/torus/hypercube/complete — and
 // enforces a memory budget so multi-million-node specs either build
 // cheaply or fail with a clear estimate instead of exhausting memory.
 // Spec.Estimate reports the representation and projected footprint
@@ -84,12 +84,13 @@ type Param struct {
 	Kind    ParamKind
 }
 
-// Family is one registered graph family. Build receives the resolved
+// Family is one registered graph family. Estimate validates the resolved
 // parameter values (defaults merged with the spec's explicit arguments)
-// and the RNG; generation must be deterministic in (values, rng).
-// Topo builds the family's compact engine topology (CSR or implicit) and
-// Estimate projects its footprint; both validate parameters exactly like
-// Build.
+// and projects the engine topology's footprint; Spec runs it before
+// Build or Topo, so those two receive valid values. Build generates the
+// graph from the values and the RNG, deterministically in (values,
+// rng). Topo, set only for families with an implicit arithmetic
+// topology, builds that instead of Build's graph for BuildTopology.
 type Family struct {
 	Name     string
 	Doc      string
@@ -109,9 +110,9 @@ func (f *Family) param(name string) *Param {
 }
 
 // Values holds the resolved string parameter values of a spec. The
-// typed accessors record the first conversion failure, checked once by
-// Build — family builders can read all parameters without per-field
-// error plumbing.
+// typed accessors record the first conversion failure, checked once
+// after the family's Estimate — family hooks can read all parameters
+// without per-field error plumbing.
 type Values struct {
 	family string
 	m      map[string]string
@@ -258,48 +259,61 @@ func (s Spec) Values() (*Values, error) {
 	return &Values{family: f.Name, m: m}, nil
 }
 
+// check resolves the spec's family and values and runs the family's
+// Estimate, its one parameter check: Build, BuildTopology and Estimate
+// all go through here, so an invalid spec fails identically in each.
+func (s Spec) check() (*Family, *Values, Estimate, error) {
+	f := lookup(s.Family)
+	if f == nil {
+		return nil, nil, Estimate{}, fmt.Errorf("topo: unknown family %q", s.Family)
+	}
+	v, err := s.Values()
+	if err != nil {
+		return nil, nil, Estimate{}, err
+	}
+	est, err := f.Estimate(v)
+	if err == nil {
+		err = v.Err()
+	}
+	if err != nil {
+		return nil, nil, Estimate{}, err
+	}
+	return f, v, est, nil
+}
+
 // Build generates the graph described by the spec, drawing any
 // randomness from rng. Deterministic: equal canonical specs and equal
 // rng states yield identical graphs.
 func (s Spec) Build(rng *rand.Rand) (*graph.Graph, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return nil, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
-	v, err := s.Values()
+	f, v, _, err := s.check()
 	if err != nil {
 		return nil, err
 	}
-	g, err := f.Build(v, rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return f.Build(v, rng)
 }
 
 // Estimate projects what Spec.BuildTopology would construct: the
 // representation, node and edge counts, and the approximate resident
-// bytes of the topology itself (excluding lazily materialized neighbor
-// caches, which scale with the nodes a program actually iterates).
+// bytes of the topology itself (excluding the implicit topologies'
+// lazily materialized neighbor caches, which scale with the nodes a
+// program actually iterates).
 type Estimate struct {
-	// Repr is "csr" or "implicit".
+	// Repr is "csr" (a *graph.Graph) or "implicit".
 	Repr string
 	// N and M are node and undirected-edge counts; for random families M
 	// is the expectation.
 	N int
 	M int64
 	// Bytes is the projected topology footprint: graph.CSRBytes(N, M)
-	// for CSR families, a small constant for implicit ones.
+	// for graph-backed families, a small constant for implicit ones.
 	Bytes int64
 }
 
 // DefaultTopoBudget is the byte budget Spec.BuildTopology enforces: a
 // spec whose estimated footprint exceeds it fails with a clear error
 // instead of attempting the build. 4 GiB admits every registry family
-// at n = 10M (CSR powerlaw:n=10M,attach=3 is ~560 MB) while rejecting
+// at n = 10M (powerlaw:n=10M,attach=3 is ~560 MB: 8 B per node and
+// 16 B per edge, see graph.CSRBytes) while rejecting
 // accidental quadratic explosions like gnp:n=1000000,p=0.5.
 const DefaultTopoBudget int64 = 4 << 30
 
@@ -320,30 +334,16 @@ func fmtBytes(b int64) string {
 // Estimate resolves the spec's parameters and projects the compact
 // representation BuildTopology would use, without building anything.
 func (s Spec) Estimate() (Estimate, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return Estimate{}, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
-	v, err := s.Values()
-	if err != nil {
-		return Estimate{}, err
-	}
-	est, err := f.Estimate(v)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if err := v.Err(); err != nil {
-		return Estimate{}, err
-	}
-	return est, nil
+	_, _, est, err := s.check()
+	return est, err
 }
 
 // BuildTopology builds the most compact engine topology the family
-// supports — CSR adjacency for generated graphs, O(1) implicit
-// arithmetic for grid/torus/hypercube/complete — under
+// supports — O(1) implicit arithmetic for grid/torus/hypercube/complete,
+// Build's CSR-backed graph for every other family — under
 // DefaultTopoBudget. Deterministic in (canonical spec, rng state), and
-// edge-for-edge, port-for-port identical to the explicit Build graph
-// for equal rng states (the repr tests pin this).
+// edge-for-edge, port-for-port identical to the Build graph for equal
+// rng states (the repr tests pin this for the implicit families).
 func (s Spec) BuildTopology(rng *rand.Rand) (sim.Topology, error) {
 	return s.BuildTopologyBudget(rng, DefaultTopoBudget)
 }
@@ -351,14 +351,10 @@ func (s Spec) BuildTopology(rng *rand.Rand) (sim.Topology, error) {
 // BuildTopologyBudget is BuildTopology with an explicit byte budget
 // (≤ 0 means DefaultTopoBudget).
 func (s Spec) BuildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, error) {
-	f := lookup(s.Family)
-	if f == nil {
-		return nil, fmt.Errorf("topo: unknown family %q", s.Family)
-	}
 	if budget <= 0 {
 		budget = DefaultTopoBudget
 	}
-	est, err := s.Estimate()
+	f, v, est, err := s.check()
 	if err != nil {
 		return nil, err
 	}
@@ -366,21 +362,17 @@ func (s Spec) BuildTopologyBudget(rng *rand.Rand, budget int64) (sim.Topology, e
 		return nil, fmt.Errorf("topo: %s needs ~%s as %s (n=%d, m≈%d), over the %s build budget",
 			s, fmtBytes(est.Bytes), est.Repr, est.N, est.M, fmtBytes(budget))
 	}
-	v, err := s.Values()
+	if f.Topo != nil {
+		return f.Topo(v, rng)
+	}
+	g, err := f.Build(v, rng)
 	if err != nil {
-		return nil, err
+		return nil, err // not a typed-nil *graph.Graph in the interface
 	}
-	t, err := f.Topo(v, rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return g, nil
 }
 
-// csrEstimate is the Estimate of a CSR-represented family.
+// csrEstimate is the Estimate of a graph-backed family.
 func csrEstimate(n int, m int64) Estimate {
 	return Estimate{Repr: "csr", N: n, M: m, Bytes: graph.CSRBytes(n, m)}
 }

@@ -70,6 +70,10 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestBuildValueErrors pins Build-time rejection of invalid values. A
+// spec that fails its family's parameter check must get the identical
+// error from Build, BuildTopology and Estimate; only the explicit-only
+// caps (hypercube dim > 20, complete n > 2048) fail Build alone.
 func TestBuildValueErrors(t *testing.T) {
 	cases := []string{
 		"gnp:n=many",     // non-integer
@@ -79,23 +83,50 @@ func TestBuildValueErrors(t *testing.T) {
 		"gnp:n=0",        // out of range
 		"gnp:n=4,p=0,conn=1",
 		"cycliques:k=2",
+		"cycliques:size=1",
+		"hub:n=1",
+		"hub:p=-0.1",
 		"regular:n=5,d=3", // n·d odd
 		"regular:n=4,d=4", // d ≥ n
+		"star:n=1",
+		"barbell:size=0",
+		"barbell:p=2",
+		"path:n=0",
+		"grid:rows=0",
+		"grid:cols=x",
 		"torus:rows=2",
 		"hypercube:dim=0",
-		"hypercube:dim=21",
+		"hypercube:dim=31",
+		"hypercube:dim=21", // beyond the explicit-adjacency cap
 		"powerlaw:n=3,attach=3",
+		"powerlaw:attach=0",
 		"cycle:n=2",
 		"complete:n=0",    // out of range
 		"complete:n=4096", // beyond the explicit-adjacency cap
 	}
+	covered := map[string]bool{}
 	for _, c := range cases {
 		sp, err := Parse(c)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v (expected a Build-time error)", c, err)
 		}
-		if _, err := sp.Build(rand.New(rand.NewSource(1))); err == nil {
+		_, buildErr := sp.Build(rand.New(rand.NewSource(1)))
+		if buildErr == nil {
 			t.Fatalf("Build(%q) accepted", c)
+		}
+		_, estErr := sp.Estimate()
+		if estErr == nil {
+			continue // an explicit-only cap
+		}
+		covered[sp.Family] = true
+		_, topoErr := sp.BuildTopology(rand.New(rand.NewSource(1)))
+		if buildErr.Error() != estErr.Error() || topoErr == nil || topoErr.Error() != estErr.Error() {
+			t.Errorf("%q: Estimate error %q, Build %q, BuildTopology %v", c, estErr, buildErr, topoErr)
+		}
+	}
+	for _, f := range FamilyNames() {
+		if !covered[f] {
+			t.Errorf("no invalid spec for family %q", f)
 		}
 	}
 }
