@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,99 @@ func TestOracleRouterRoundCharge(t *testing.T) {
 	want := 2 + 2 + 1
 	if res.Rounds != want {
 		t.Fatalf("rounds %d want %d", res.Rounds, want)
+	}
+}
+
+// TestOracleRouterChargeAndOrder pins Route's round charge — 2 rounds
+// of schedule agreement plus ⌈L/(n-1)⌉+1 routing rounds for load L > 0
+// — at load 0, at loads up to n-1 and above, over two consecutive calls
+// (so the reused buffers are exercised), and the per-destination packet
+// order: ascending source, then (A, B), duplicates in deposit order.
+func TestOracleRouterChargeAndOrder(t *testing.T) {
+	const n = 8
+	cases := []struct {
+		name   string
+		send   func(id int) []Packet
+		charge int
+	}{
+		{"load 0", func(int) []Packet { return nil }, 2},
+		{"load 1", func(id int) []Packet { return []Packet{{Dst: (id + 1) % n}} }, 2 + 2},
+		{"load n-1", func(id int) []Packet {
+			var out []Packet
+			for d := 0; d < n; d++ {
+				if d != id {
+					out = append(out, Packet{Dst: d})
+				}
+			}
+			return out
+		}, 2 + 2},
+		{"load n", func(id int) []Packet {
+			if id != 0 {
+				return nil
+			}
+			return make([]Packet, n) // n packets from node 0 to itself
+		}, 2 + 3},
+		{"load 3n-2", func(id int) []Packet {
+			if id != 1 {
+				return nil
+			}
+			return make([]Packet, 3*n-2) // 3(n-1)+1 packets from node 1 to node 0
+		}, 2 + 5},
+	}
+	for _, tc := range cases {
+		router := NewOracleRouter(n)
+		res, err := sim.New(sim.NewComplete(n)).Run(func(c *sim.Ctx) {
+			for call := 0; call < 2; call++ {
+				router.Route(c, tc.send(c.ID()))
+				c.Emit(c.Round())
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			if got := fmt.Sprint(res.Outputs[v]); got != fmt.Sprint([]int{tc.charge, 2 * tc.charge}) {
+				t.Fatalf("%s: node %d Round() after each call %s, want %d per call", tc.name, v, got, tc.charge)
+			}
+		}
+	}
+
+	// Order: every source deposits the same scrambled batch, with a
+	// duplicated (A, B) pair told apart only by C, into node 0.
+	batch := []Packet{{A: 3, B: 1, C: 0}, {A: 1, B: 2, C: 1}, {A: 1, B: 0, C: 2}, {A: 1, B: 2, C: 3}, {A: 1, B: 2, C: 4}}
+	router := NewOracleRouter(n)
+	res, err := sim.New(sim.NewComplete(n)).Run(func(c *sim.Ctx) {
+		out := make([]Packet, len(batch))
+		for i, p := range batch {
+			p.B += int64(10 * c.ID()) // distinguish sources
+			out[i] = p
+		}
+		for call := 0; call < 2; call++ {
+			in := router.Route(c, out)
+			got := make([]Packet, len(in))
+			copy(got, in)
+			c.Emit(got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Packet
+	for src := 0; src < n; src++ {
+		b := int64(10 * src)
+		want = append(want,
+			Packet{A: 1, B: b, C: 2}, Packet{A: 1, B: b + 2, C: 1}, Packet{A: 1, B: b + 2, C: 3},
+			Packet{A: 1, B: b + 2, C: 4}, Packet{A: 3, B: b + 1, C: 0})
+	}
+	for call := 0; call < 2; call++ {
+		if got := fmt.Sprint(res.Outputs[0][call]); got != fmt.Sprint(want) {
+			t.Fatalf("call %d: node 0 received\n%s\nwant\n%s", call, got, fmt.Sprint(want))
+		}
+	}
+	for v := 1; v < n; v++ {
+		if got := res.Outputs[v][0].([]Packet); len(got) != 0 {
+			t.Fatalf("node %d received %d packets, want none", v, len(got))
+		}
 	}
 }
 

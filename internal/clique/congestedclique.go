@@ -103,24 +103,30 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 		c.Charge(int64(len(nbr))) // input adjacency
 		defer c.Release(int64(len(nbr)))
 
+		// inS[v] == stamp marks v as a member of the cover set under
+		// test: one marker slice per node, re-stamped per (block, cover)
+		// instead of a fresh membership set each time.
+		inS := make([]int, g.N())
+		stamp := 0
+		var out []Packet
+		var edges [][2]int
 		for blk := 0; blk < plan.blocks; blk++ {
-			var out []Packet
+			out = out[:0]
 			for t, cov := range plan.covers {
 				if blk >= len(cov) {
 					continue
 				}
 				uni := plan.universes[t]
-				// Membership test for this node in S (local indices).
-				inS := make(map[int]bool, len(cov[blk]))
+				stamp++
 				for _, li := range cov[blk] {
-					inS[uni[li]] = true
+					inS[uni[li]] = stamp
 				}
-				if !inS[id] {
+				if inS[id] != stamp {
 					continue
 				}
 				dst := plan.masters[t]
 				for _, w := range nbr {
-					if w > id && inS[w] {
+					if w > id && inS[w] == stamp {
 						out = append(out, Packet{Dst: dst, A: int64(id), B: int64(w)})
 					}
 				}
@@ -128,9 +134,9 @@ func CongestedCliqueKCliques(g *graph.Graph, k int, mu int64, router *OracleRout
 			recv := router.Route(c, out)
 			if len(recv) > 0 {
 				c.Charge(int64(2 * len(recv))) // the ≤ O(μ) edge batch
-				edges := make([][2]int, len(recv))
-				for i, p := range recv {
-					edges[i] = [2]int{int(p.A), int(p.B)}
+				edges = edges[:0]
+				for _, p := range recv {
+					edges = append(edges, [2]int{int(p.A), int(p.B)})
 				}
 				for _, cl := range ListInEdgeSet(edges, k) {
 					c.Emit(cl)

@@ -1,7 +1,8 @@
 package clique
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"mucongest/internal/sim"
@@ -33,6 +34,20 @@ type OracleRouter struct {
 	deposits [][]Packet
 	received [][]Packet
 	rounds   int
+	// scheduled reports that schedule already ran for the current Route
+	// call: the first node past the deposit barrier computes it, the
+	// rest read it. Each call's deposits reset it.
+	scheduled bool
+
+	// Schedule scratch, reused across calls.
+	in    []int
+	byDst [][]tagged
+}
+
+// tagged is a deposited packet with its source node.
+type tagged struct {
+	src int
+	p   Packet
 }
 
 // NewOracleRouter returns a router for an n-node clique.
@@ -41,29 +56,46 @@ func NewOracleRouter(n int) *OracleRouter {
 		n:        n,
 		deposits: make([][]Packet, n),
 		received: make([][]Packet, n),
+		in:       make([]int, n),
+		byDst:    make([][]tagged, n),
 	}
 }
 
 // Route delivers every node's out packets and returns the packets
-// addressed to this node, charging ⌈maxLoad/(n-1)⌉ + 1 rounds plus the
-// two barrier rounds used for schedule agreement.
+// addressed to this node, ordered by source node, then by (A, B), then
+// by the source's deposit order. It charges ⌈L/(n-1)⌉ + 1 routing rounds
+// for the realized load L (the larger of the maximum per-node send and
+// receive counts), plus the two rounds of schedule agreement; a call
+// with no packets at all costs just those 2 rounds.
+//
+// The returned slice is a router-owned buffer reused by the next call:
+// it is valid only until this node's next Route. Copy any packets that
+// must outlive it.
 func (r *OracleRouter) Route(c *sim.Ctx, out []Packet) []Packet {
 	r.mu.Lock()
 	r.deposits[c.ID()] = out
+	r.scheduled = false
 	r.mu.Unlock()
 	c.Tick() // barrier: all deposits visible afterwards
-	if c.ID() == 0 {
+	r.mu.Lock()
+	if !r.scheduled {
 		r.schedule()
+		r.scheduled = true
 	}
-	c.Tick() // barrier: schedule visible to all
-	c.Idle(r.rounds)
+	rounds := r.rounds
+	r.mu.Unlock()
+	// The schedule-agreement barrier and the routing rounds are one
+	// sleep: no node reads the schedule's output before every node has
+	// passed the first of them.
+	c.Idle(1 + rounds)
 	return r.received[c.ID()]
 }
 
 // schedule computes the Lenzen round count from the realized loads and
 // groups packets by destination in deterministic (src, payload) order.
 func (r *OracleRouter) schedule() {
-	in := make([]int, r.n)
+	in := r.in
+	clear(in)
 	maxOut := 0
 	for _, d := range r.deposits {
 		if len(d) > maxOut {
@@ -79,34 +111,32 @@ func (r *OracleRouter) schedule() {
 			maxIn = k
 		}
 	}
-	for v := range r.received {
-		r.received[v] = nil
+	byDst := r.byDst
+	for v := range byDst {
+		byDst[v] = byDst[v][:0]
 	}
-	type tagged struct {
-		src int
-		p   Packet
-	}
-	byDst := make([][]tagged, r.n)
 	for src, d := range r.deposits {
 		for _, p := range d {
 			byDst[p.Dst] = append(byDst[p.Dst], tagged{src, p})
 		}
 		r.deposits[src] = nil
 	}
-	for v := range byDst {
-		sort.Slice(byDst[v], func(i, j int) bool {
-			a, b := byDst[v][i], byDst[v][j]
-			if a.src != b.src {
-				return a.src < b.src
+	for v, b := range byDst {
+		// Stable: packets equal in (src, A, B) keep their deposit order.
+		slices.SortStableFunc(b, func(x, y tagged) int {
+			if c := cmp.Compare(x.src, y.src); c != 0 {
+				return c
 			}
-			if a.p.A != b.p.A {
-				return a.p.A < b.p.A
+			if c := cmp.Compare(x.p.A, y.p.A); c != 0 {
+				return c
 			}
-			return a.p.B < b.p.B
+			return cmp.Compare(x.p.B, y.p.B)
 		})
-		for _, tg := range byDst[v] {
-			r.received[v] = append(r.received[v], tg.p)
+		recv := r.received[v][:0]
+		for _, tg := range b {
+			recv = append(recv, tg.p)
 		}
+		r.received[v] = recv
 	}
 	load := maxOut
 	if maxIn > load {

@@ -11,6 +11,7 @@ import (
 // Every entry keys Behaviors.
 var behaviorNames = []string{
 	"gossip", "broadcast", "chargeonly", "earlyfinish", "nodeerror", "strictpressure", "restartaware",
+	"idle",
 }
 
 // Behaviors maps a behavior name to its program constructor. Programs
@@ -134,6 +135,31 @@ var Behaviors = map[string]func(sc Scenario) func(refsim.NodeCtx){
 			for r := 0; r < sc.Rounds; r++ {
 				c.Charge(int64(c.ID()%2 + 1))
 				c.Broadcast(sim.Msg{Kind: 6, A: int64(c.ID()), B: int64(r)})
+				emitFold(c, c.Tick())
+			}
+		}
+	},
+
+	// idle: RNG-driven rounds that either Tick or Idle(k) for k in
+	// -2..3, with a send usually staged right before either — so sends
+	// leave in an Idle's first round, nodes drawing different k leave
+	// messages arriving at sleeping nodes (metered, then discarded), and
+	// Idle(0)/Idle(-1) must be no-ops that leave the staged send for the
+	// following Tick. Each Idle emits Round() on waking, pinning the
+	// tick count the sleep advanced.
+	"idle": func(sc Scenario) func(refsim.NodeCtx) {
+		return func(c refsim.NodeCtx) {
+			c.Charge(int64(c.ID()%2 + 1))
+			for r := 0; r < sc.Rounds; r++ {
+				if deg := c.Degree(); deg > 0 && c.Rand().Intn(3) != 0 {
+					c.Send(c.Rand().Intn(deg), sim.Msg{Kind: 8, A: int64(c.ID()), B: int64(r)})
+				}
+				k := c.Rand().Intn(6) - 2
+				c.Idle(k)
+				if k > 0 {
+					c.Emit(int64(c.Round()))
+					continue
+				}
 				emitFold(c, c.Tick())
 			}
 		}

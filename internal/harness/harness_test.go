@@ -163,3 +163,28 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestIdleBehaviorDifferential certifies the engine's Idle sleep
+// against refsim's naive k-Tick loop beyond the corpus's share of idle
+// scenarios: generated scenarios forced onto the idle behavior, each
+// run fault-free and under a crash/restart plan (crashes end sleeps
+// early), at workers 1 and 4 and in both execution modes.
+func TestIdleBehaviorDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var crashes int64
+	for i := 0; i < 24; i++ {
+		sc := Generate(rng)
+		sc.Behavior, sc.FailNode, sc.FailRound = "idle", -1, 0
+		for _, faults := range []string{"", "crash:p=0.15,restart=2", "loss:p=0.2+crash:p=0.05,restart=3"} {
+			sc.Faults = faults
+			out, err := CheckScenario(sc, 1, 4)
+			if err != nil {
+				t.Fatalf("scenario %d %v: %v", i, sc, err)
+			}
+			crashes += out.Crashes
+		}
+	}
+	if crashes == 0 {
+		t.Error("no idle scenario crashed a node: the crash axis never bit")
+	}
+}

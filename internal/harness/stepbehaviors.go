@@ -44,6 +44,9 @@ var StepBehaviors = map[string]func(sc Scenario) func(refsim.NodeCtx) refsim.Ste
 	"restartaware": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
 		return func(refsim.NodeCtx) refsim.StepNode { return &restartAwareStep{sc: sc} }
 	},
+	"idle": func(sc Scenario) func(refsim.NodeCtx) refsim.StepNode {
+		return func(refsim.NodeCtx) refsim.StepNode { return &idleStep{sc: sc} }
+	},
 }
 
 type gossipStep struct {
@@ -197,5 +200,46 @@ func (s *strictPressureStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
 	c.Charge(int64(c.ID()%2 + 1))
 	c.Broadcast(sim.Msg{Kind: 6, A: int64(c.ID()), B: int64(s.r)})
 	s.r++
+	return true
+}
+
+// idleStep is the step form of Idle(k): k consecutive Steps that return
+// true with no code in between, discarding their inboxes. sleep counts
+// the round boundaries the current Idle still has to pass; idling
+// records that the boundary just passed belongs to an Idle, whose
+// post-round code emits Round() instead of the inbox fold.
+type idleStep struct {
+	sc      Scenario
+	r       int
+	sleep   int
+	idling  bool
+	started bool
+}
+
+func (s *idleStep) Step(c refsim.NodeCtx, in []sim.Incoming) bool {
+	switch {
+	case !s.started:
+		c.Charge(int64(c.ID()%2 + 1))
+		s.started = true
+	case s.sleep > 0:
+		s.sleep--
+		return true
+	case s.idling:
+		c.Emit(int64(c.Round()))
+		s.idling = false
+		s.r++
+	default:
+		emitFold(c, in)
+		s.r++
+	}
+	if s.r >= s.sc.Rounds {
+		return false
+	}
+	if deg := c.Degree(); deg > 0 && c.Rand().Intn(3) != 0 {
+		c.Send(c.Rand().Intn(deg), sim.Msg{Kind: 8, A: int64(c.ID()), B: int64(s.r)})
+	}
+	if k := c.Rand().Intn(6) - 2; k > 0 {
+		s.idling, s.sleep = true, k-1
+	}
 	return true
 }

@@ -56,6 +56,27 @@ func TestSteadyStateRoundAllocFree(t *testing.T) {
 			runErr = err
 		}
 	}
+	// The idle twin puts every other node to sleep in Idle between its
+	// broadcasts: the sleep path — metering and discarding the inbox of
+	// a node that is not resumed, and the barrier subtraction — must be
+	// as allocation-free as a Tick.
+	runIdle := func(rounds int, workers int) {
+		e := New(topo, WithSeed(1), WithSimWorkers(workers))
+		program := func(c *Ctx) {
+			for r := 0; r < rounds; r += 2 {
+				c.Broadcast(Msg{Kind: 1, A: int64(c.ID()), B: int64(r)})
+				if c.ID()%2 == 0 {
+					c.Idle(2)
+				} else {
+					c.Tick()
+					c.Tick()
+				}
+			}
+		}
+		if _, err := e.Run(program); err != nil && runErr == nil {
+			runErr = err
+		}
+	}
 	// The step-mode twin drives the same broadcast workload through the
 	// goroutine-free runtime: its per-round path (step dispatch, inline
 	// Step calls, outbox staging) must be exactly as allocation-free as
@@ -75,7 +96,7 @@ func TestSteadyStateRoundAllocFree(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		run  func(rounds, workers int)
-	}{{"goroutine", run}, {"step", runStep}, {"emptyfaults", runEmptyFaults}} {
+	}{{"goroutine", run}, {"step", runStep}, {"emptyfaults", runEmptyFaults}, {"idle", runIdle}} {
 		for _, workers := range []int{1, 4} {
 			short := testing.AllocsPerRun(5, func() { mode.run(base, workers) })
 			full := testing.AllocsPerRun(5, func() { mode.run(long, workers) })

@@ -265,7 +265,32 @@ func (c *Ctx) Broadcast(m Msg) {
 // this contract as sentinel messages (From/Kind = -1).
 //
 //muvet:hotpath
-func (c *Ctx) Tick() []Incoming {
+func (c *Ctx) Tick() []Incoming { return c.park(0) }
+
+// Idle ends k consecutive rounds and discards everything received in
+// them; it is observably k calls of Tick with no code in between. Sends
+// staged before Idle go out in its first round, exactly as Tick would
+// hand them over. Messages addressed to the node while it idles are
+// still delivered: each round's inbox is metered like any other
+// (PeakWords, μ violations, strict-mode aborts) and then discarded.
+// Round() advances by k. k ≤ 0 is a no-op.
+//
+// The engine runs Idle as a sleep: the node parks at its first barrier
+// and is not resumed for the next k-1, which the engine accounts on
+// its behalf. Only an abort or a fault-layer crash ends the sleep early,
+// exactly where the k-Tick loop would have unwound.
+func (c *Ctx) Idle(k int) {
+	if k > 0 {
+		c.park(k - 1)
+	}
+}
+
+// park is the barrier handoff behind Tick and Idle: it stages the
+// outbox, records how many further barriers the engine should sleep the
+// node through, arrives, and blocks until the engine resumes it.
+//
+//muvet:hotpath
+func (c *Ctx) park(sleep int) []Incoming {
 	rt := c.rt
 	if rt.step != nil {
 		// A stepped node blocking here would deadlock the delivery worker
@@ -273,6 +298,7 @@ func (c *Ctx) Tick() []Incoming {
 		panic(fmt.Sprintf("sim: node %d runs a step program; the engine owns its round boundary (return true from Step instead of calling Tick)", c.id))
 	}
 	rt.ticks++
+	rt.sleep = sleep
 	if out := c.takeOutbox(); len(out) > 0 {
 		c.eng.senderOut[c.id] = out
 	}
@@ -290,14 +316,6 @@ func (c *Ctx) Tick() []Incoming {
 		panic(errAbort)
 	}
 	return in
-}
-
-// Idle performs k rounds with no sends, discarding any received
-// messages.
-func (c *Ctx) Idle(k int) {
-	for i := 0; i < k; i++ {
-		c.Tick()
-	}
 }
 
 // Emit outputs v. Per the μ-CONGEST model, emitted outputs leave the

@@ -106,6 +106,11 @@ type shardState struct {
 	newlyFinishedG int
 	err            error
 
+	// slept counts the shard's goroutine nodes that slept through this
+	// barrier instead of being resumed (see resumeNode); the engine
+	// drains it after the resume dispatch.
+	slept int
+
 	// gor stages the shard's goroutine-form nodes during phaseBind,
 	// consumed (and scrubbed) by bindNodes once every shard is bound.
 	gor []goSpawn
@@ -174,6 +179,7 @@ func (e *Engine) initShards(sc *runScratch) {
 		st.newlyFinished = 0
 		st.newlyFinishedG = 0
 		st.err = nil
+		st.slept = 0
 		for i := range st.gor {
 			st.gor[i] = goSpawn{}
 		}
@@ -198,7 +204,7 @@ func (e *Engine) shardPhase(k phaseKind, s int) {
 	case phaseResume:
 		for id := lo; id < hi; id++ {
 			if rt := &e.nodes[id]; !rt.finished && !rt.parked {
-				e.resumeNode(id, rt)
+				e.resumeNode(e.shards[s], id, rt)
 			}
 		}
 	case phaseBind:
@@ -375,7 +381,7 @@ func (e *Engine) accountShard(st *shardState, s, lo, hi int, resume bool) {
 			st.over = append(st.over, overrun{node: id, words: total})
 		}
 		if resume {
-			e.resumeNode(id, rt)
+			e.resumeNode(st, id, rt)
 		}
 	}
 }
@@ -387,16 +393,28 @@ func (e *Engine) accountShard(st *shardState, s, lo, hi int, resume bool) {
 // boundary inline on this worker instead of through the resume channel
 // — this dispatch is the whole of the step-mode "fan-out".
 //
+// A goroutine node sleeping in Ctx.Idle is not resumed unless the run
+// aborted: its inbox, already metered by the account phase, is
+// discarded and its tick advanced in place of the Tick the k-Tick loop
+// would have made. The shard counts the skip so the engine can take the
+// node out of the arrival barrier it was armed into.
+//
 //muvet:hotpath
-func (e *Engine) resumeNode(id int, rt *nodeRT) {
+func (e *Engine) resumeNode(st *shardState, id int, rt *nodeRT) {
 	if rt.step != nil {
 		e.stepNode(&e.ctxs[id], rt)
 		return
 	}
 	in := rt.inbox
+	rt.inbox = rt.inbox[:0]
+	if rt.sleep > 0 && !e.aborted {
+		rt.sleep--
+		rt.ticks++
+		st.slept++
+		return
+	}
 	if len(in) == 0 {
 		in = nil
 	}
-	rt.inbox = rt.inbox[:0]
 	rt.resume <- in
 }

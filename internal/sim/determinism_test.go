@@ -189,6 +189,30 @@ func TestNodeErrorAbortDeterministicAcrossWorkers(t *testing.T) {
 	for i, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		e := New(topo, WithSeed(7), WithSimWorkers(w))
 		res, err := e.Run(program)
+		// The same failure while a third of the nodes (in every shard)
+		// sleep in Idle across the failing barrier: the abort must wake
+		// them exactly where the k-Tick loop unwinds.
+		sleepRes, sleepErr := runIdleForms(t, topo, func(idle func(*Ctx, int)) func(*Ctx) {
+			return func(c *Ctx) {
+				for r := 0; ; r++ {
+					for _, u := range c.Neighbors() {
+						c.SendID(u, Msg{Kind: 1, A: int64(c.ID()), B: int64(r)})
+					}
+					if r == 1 && c.ID()%3 == 1 {
+						idle(c, 4)
+						c.Emit(int64(c.Round()))
+						continue
+					}
+					c.Emit(int64(len(c.Tick())))
+					if r == 2 && (c.ID() == 300 || c.ID() == 900) {
+						panic(fmt.Sprintf("node %d exploded", c.ID()))
+					}
+				}
+			}
+		}, WithSeed(7), WithSimWorkers(w))
+		if sleepErr == nil || !strings.Contains(sleepErr.Error(), "node 300 exploded") || sleepRes.Rounds != 4 {
+			t.Fatalf("workers %d with sleepers: err = %v, Rounds = %d; want node 300's error after 4 rounds", w, sleepErr, sleepRes.Rounds)
+		}
 		if err == nil {
 			t.Fatalf("workers %d: expected node panic to surface as run error", w)
 		}

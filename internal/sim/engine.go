@@ -249,16 +249,22 @@ type nodeRT struct {
 	live       int64 // words charged by the algorithm
 	peak       int64
 	ticks      int
+	// sleep is the number of barriers a goroutine node still sleeps
+	// through inside Ctx.Idle: set by the node before its arrival, then
+	// counted down by the owning shard's resume dispatch, which meters
+	// and discards the node's inbox and advances ticks in place of a
+	// resume. Always 0 for stepped nodes.
+	sleep int
 	// done is the node's barrier-published termination bit: set by the
 	// node goroutine (with nodeErr) before its final arrival decrement,
 	// never cleared. Stable while the engine owns the round, so the
 	// route phase's drop check may read any node's done flag.
-	done    bool
-	nodeErr error
+	done bool
 	// finished is the engine-side acknowledgment of done, set by the
 	// owning shard's account phase. Only same-shard phase code reads it
 	// concurrently, keeping cross-shard reads on the immutable done bit.
 	finished bool
+	nodeErr  error
 	// Fault-layer state, all written at the serial fault point (or, for
 	// crashing, read once by the unwinding node under the resume
 	// channel's happens-before edge). parked means the node crashed and
@@ -267,11 +273,11 @@ type nodeRT struct {
 	// done bit (the barrier population must not be decremented for it).
 	parked       bool
 	crashing     bool // node is being unwound by crashNode right now
+	violation    bool // a Violation was already recorded for this node (dedup)
 	restartRound int
 	restarts     int
 	outputs      []any
-	violation    bool // a Violation was already recorded for this node (dedup)
-	vioIdx       int  // index of this node's Violation in the run's slice
+	vioIdx       int // index of this node's Violation in the run's slice
 }
 
 // runScratch is the per-run state whose allocation and zeroing dominate
@@ -315,6 +321,7 @@ func grab(n int) *runScratch {
 		rt.live = 0
 		rt.peak = 0
 		rt.ticks = 0
+		rt.sleep = 0
 		rt.done = false
 		rt.finished = false
 		rt.violation = false
@@ -460,6 +467,7 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	}
 
 	active := e.n
+	woke := false // the engine itself completed the barrier (see dropSleepers)
 	for active > 0 {
 		// Wait for the barrier: the last arriving goroutine node performs
 		// the one wake. Every node's pre-arrival writes (its senderOut
@@ -468,8 +476,10 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 		// phases may read them freely. Stepped nodes published theirs
 		// inside the previous phase (or the bind phase), which completed
 		// before this iteration; a pure-step round skips the wait — and
-		// every channel operation — entirely.
-		if activeG > 0 {
+		// every channel operation — entirely. So does a round whose
+		// barrier the engine completed itself because every goroutine node
+		// it did not resume is asleep in Idle.
+		if activeG > 0 && !woke {
 			<-e.wake
 		}
 		// Serial fault point: with every node quiescent (goroutine nodes
@@ -544,6 +554,7 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 			e.runPhase(phaseAccountResume)
 			e.mergeRound(r, &violations)
 		}
+		woke = activeG > 0 && e.dropSleepers()
 	}
 
 	var faultDrops int64
@@ -588,6 +599,23 @@ func (e *Engine) arrive() {
 	if e.arrivals.Add(-1) == 0 {
 		e.wake <- struct{}{}
 	}
+}
+
+// dropSleepers takes the goroutine nodes that slept through this
+// barrier out of the arrival barrier armed for the next one. The
+// barrier is armed with every live goroutine node before the resume
+// dispatch, since resumed nodes may arrive while other shards are still
+// dispatching; sleepers will not arrive, so the engine subtracts them
+// afterwards. Reports whether that subtraction completed the barrier —
+// every resumed node had already arrived, or none was resumed — in
+// which case no node sends on wake and the engine must not wait for it.
+func (e *Engine) dropSleepers() bool {
+	var slept int64
+	for _, st := range e.shards {
+		slept += int64(st.slept)
+		st.slept = 0
+	}
+	return slept > 0 && e.arrivals.Add(-slept) == 0
 }
 
 // mergeRound folds the per-shard μ overruns of one barrier into the

@@ -390,6 +390,7 @@ func (e *Engine) crashNode(id int, rt *nodeRT, round int) (wasGoroutine bool) {
 		wasGoroutine = true
 	}
 	rt.parked = true
+	rt.sleep = 0 // a crash ends an Idle sleep, as it unwinds a Tick
 	rt.restartRound = round + e.faults.RestartDelay()
 	rt.live = 0
 	rt.inboxWords = 0

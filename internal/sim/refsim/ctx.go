@@ -146,8 +146,11 @@ func (c *Ctx) Tick() []sim.Incoming {
 	return in
 }
 
-// Idle performs k rounds with no sends, discarding any received
-// messages.
+// Idle ends k consecutive rounds and discards everything received in
+// them: sends staged before Idle go out in its first round, each
+// round's inbox is metered like any other and then dropped, and k ≤ 0
+// is a no-op. refsim keeps the naive loop of k Ticks — the oracle the
+// production engine's sleep is certified against.
 func (c *Ctx) Idle(k int) {
 	for i := 0; i < k; i++ {
 		c.Tick()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,53 @@ func newPath(n int) *pathTopo {
 		}
 	}
 	return t
+}
+
+// idleForms are the two ways a program can idle for k rounds: the
+// engine sleep (Ctx.Idle) and the naive loop of k Ticks it must be
+// indistinguishable from. Tests that exercise Idle run their program
+// under both and require identical results (see sameRun).
+var idleForms = []struct {
+	name string
+	idle func(c *Ctx, k int)
+}{
+	{"sleep", (*Ctx).Idle},
+	{"loop", func(c *Ctx, k int) {
+		for i := 0; i < k; i++ {
+			c.Tick()
+		}
+	}},
+}
+
+// runIdleForms runs mk's program once per idle form on a fresh engine
+// and requires the runs to agree exactly; it returns the sleep form's
+// outcome for the caller's own assertions.
+func runIdleForms(t *testing.T, topo Topology, mk func(idle func(*Ctx, int)) func(*Ctx), opts ...Option) (*Result, error) {
+	t.Helper()
+	var res [2]*Result
+	var errs [2]error
+	for i, f := range idleForms {
+		res[i], errs[i] = New(topo, opts...).Run(mk(f.idle))
+	}
+	sameRun(t, "sleep vs loop", res[0], errs[0], res[1], errs[1])
+	return res[0], errs[0]
+}
+
+// sameRun fails the test unless two runs have the same error string,
+// the same digest (rounds, messages, drops, outputs, peaks) and the
+// same violation records.
+func sameRun(t *testing.T, what string, a *Result, aErr error, b *Result, bErr error) {
+	t.Helper()
+	if fmt.Sprint(aErr) != fmt.Sprint(bErr) {
+		t.Fatalf("%s: err %v vs %v", what, aErr, bErr)
+	}
+	if da, db := digestResult(a), digestResult(b); da != db {
+		t.Fatalf("%s: digest %#x vs %#x (rounds %d vs %d, outputs %v vs %v)",
+			what, da, db, a.Rounds, b.Rounds, a.Outputs, b.Outputs)
+	}
+	if va, vb := fmt.Sprint(a.Violations), fmt.Sprint(b.Violations); va != vb {
+		t.Fatalf("%s: violations %s vs %s", what, va, vb)
+	}
 }
 
 func (t *pathTopo) N() int                { return t.n }
@@ -187,6 +235,33 @@ func TestMemoryViolationRecorded(t *testing.T) {
 	if len(res.Violations) != 1 || res.Violations[0].Node != 1 {
 		t.Fatalf("violations = %v, want one at node 1", res.Violations)
 	}
+	// Overruns delivered to a sleeping node: each is recorded at the
+	// barrier it happens, the node sleeps on, and OverRounds counts
+	// only the rounds it was over.
+	res, err = runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+		return func(c *Ctx) {
+			if c.ID() == 1 {
+				idle(c, 5)
+				c.Emit(int64(c.Round()))
+				return
+			}
+			c.Tick()
+			c.SendID(1, Msg{})
+			c.Tick()
+			c.SendID(1, Msg{})
+			c.Tick()
+		}
+	}, WithMu(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Violation{{Node: 1, Round: 1, Words: 2 * MsgWords, OverRounds: 2}}
+	if fmt.Sprint(res.Violations) != fmt.Sprint(want) {
+		t.Fatalf("violations %v, want %v", res.Violations, want)
+	}
+	if got := res.Outputs[1][0].(int64); got != 5 || res.Rounds != 5 {
+		t.Fatalf("sleeper woke at Round() = %d, run Rounds = %d; want 5 and 5", got, res.Rounds)
+	}
 }
 
 func TestViolationDedupPerNode(t *testing.T) {
@@ -265,6 +340,24 @@ func TestStrictMemoryAborts(t *testing.T) {
 	if !errors.Is(err, ErrMemory) {
 		t.Fatalf("err = %v, want ErrMemory", err)
 	}
+	// The same overrun delivered to a sleeping node: node 1 idles
+	// through the barrier its neighbors' messages arrive at, and the
+	// inbox metered for it aborts the run as it does for a ticking node.
+	res, err := runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+		return func(c *Ctx) {
+			if c.ID() == 1 {
+				idle(c, 4)
+				return
+			}
+			c.Tick()
+			c.SendID(1, Msg{})
+			c.Tick()
+			c.Tick()
+		}
+	}, WithMu(1), WithStrictMemory())
+	if !errors.Is(err, ErrMemory) || res.PeakWords[1] != 2 {
+		t.Fatalf("sleeper: err = %v, PeakWords[1] = %d; want ErrMemory with the 2-word inbox metered", err, res.PeakWords[1])
+	}
 }
 
 func TestStrictChargeCountsHeldInbox(t *testing.T) {
@@ -337,6 +430,27 @@ func TestStrictMemoryAbortsAcrossShards(t *testing.T) {
 	})
 	if !errors.Is(err, ErrMemory) {
 		t.Fatalf("err = %v, want ErrMemory", err)
+	}
+	// The same overrun landing on a sleeper in shard 1, while every
+	// node of shard 0 sleeps too, across delivery worker counts.
+	for _, w := range []int{1, 4} {
+		res, err := runIdleForms(t, newPath(n), func(idle func(*Ctx, int)) func(*Ctx) {
+			return func(c *Ctx) {
+				if c.ID() == ShardSpan+42 || c.ID() < ShardSpan {
+					idle(c, 3)
+					return
+				}
+				if c.ID() == ShardSpan+43 {
+					c.SendID(ShardSpan+42, Msg{})
+					c.SendID(ShardSpan+42, Msg{})
+				}
+				c.Tick()
+				c.Tick()
+			}
+		}, WithMu(1), WithStrictMemory(), WithEdgeCap(2), WithSimWorkers(w))
+		if !errors.Is(err, ErrMemory) || res.Rounds != 1 {
+			t.Fatalf("workers %d sleeper: err = %v, Rounds = %d; want ErrMemory at the first barrier", w, err, res.Rounds)
+		}
 	}
 }
 
@@ -417,6 +531,86 @@ func TestMaxRoundsGuard(t *testing.T) {
 	})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+	// The limit landing mid-sleep: node 0 idles across it while node 1
+	// keeps ticking. The abort wakes the sleeper at the same barrier,
+	// with the same tick count, as the k-Tick loop.
+	res, err := runIdleForms(t, newPath(2), func(idle func(*Ctx, int)) func(*Ctx) {
+		return func(c *Ctx) {
+			if c.ID() == 0 {
+				c.Tick()
+				idle(c, 25)
+				return
+			}
+			for {
+				c.Tick()
+			}
+		}
+	}, WithMaxRounds(10))
+	if !errors.Is(err, ErrMaxRounds) || res.Rounds != 11 {
+		t.Fatalf("mid-sleep: err = %v, Rounds = %d; want ErrMaxRounds after 11 rounds", err, res.Rounds)
+	}
+}
+
+// TestIdleNonPositiveIsNoOp pins Idle(0) and Idle(-1) as no-ops: no
+// round passes, Round() does not move, and a send staged before them
+// still leaves at the following Tick.
+func TestIdleNonPositiveIsNoOp(t *testing.T) {
+	for _, k := range []int{0, -1} {
+		res, err := runIdleForms(t, newPath(2), func(idle func(*Ctx, int)) func(*Ctx) {
+			return func(c *Ctx) {
+				c.SendID(1-c.ID(), Msg{Kind: 1, A: int64(c.ID())})
+				idle(c, k)
+				c.Emit(int64(c.Round()))
+				c.Emit(int64(len(c.Tick())))
+				c.Emit(int64(c.Round()))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, out := range res.Outputs {
+			if fmt.Sprint(out) != "[0 1 1]" {
+				t.Fatalf("Idle(%d): node %d emitted %v, want [0 1 1] (Round, inbox size, Round)", k, v, out)
+			}
+		}
+		if res.Rounds != 1 || res.Messages != 2 {
+			t.Fatalf("Idle(%d): Rounds %d, Messages %d; want 1 and 2", k, res.Rounds, res.Messages)
+		}
+	}
+}
+
+// TestIdleSendsLeaveInFirstRound pins the Idle contract the streamsim
+// and mergesim countdowns rely on: sends staged right before Idle(k) go
+// out in its first round, messages arriving while the node idles are
+// dropped from its view, and Round() advances by exactly k.
+func TestIdleSendsLeaveInFirstRound(t *testing.T) {
+	res, err := runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+		return func(c *Ctx) {
+			switch c.ID() {
+			case 0:
+				c.SendID(1, Msg{Kind: 1})
+				idle(c, 3)
+				c.Emit(int64(c.Round()))
+				c.Emit(int64(len(c.Tick())))
+			case 1:
+				c.Emit(int64(len(c.Tick()))) // node 0's pre-Idle send
+				c.SendID(0, Msg{Kind: 2})    // arrives while node 0 idles
+				c.Tick()
+				c.Tick()
+				c.SendID(0, Msg{Kind: 3}) // arrives once node 0 is awake
+				c.Tick()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := fmt.Sprint(res.Outputs[0]), fmt.Sprint(res.Outputs[1]); a != "[3 1]" || b != "[1]" {
+		t.Fatalf("outputs node0 %s node1 %s; want [3 1] and [1]", a, b)
+	}
+	if res.Rounds != 4 || res.Messages != 3 {
+		t.Fatalf("Rounds %d, Messages %d; want 4 and 3", res.Rounds, res.Messages)
 	}
 }
 
