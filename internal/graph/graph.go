@@ -20,9 +20,9 @@ type Edge struct {
 // Graph is a simple undirected graph on nodes 0..N-1 in compressed
 // sparse row (CSR) layout: one flat neighbor array plus one offset
 // array, nothing per node. Rows are sorted ascending, so a neighbor's
-// index in its row is its port. Graph implements sim.Topology together
-// with all three optional fast paths (DegreeTopology, IndexedTopology,
-// PortedTopology).
+// index in its row is its port. Graph implements sim.Topology, whose
+// port methods Degree, NeighborAt and PortOf it answers from the CSR
+// arrays.
 //
 // A graph from New is a builder: AddEdge collects edge pairs and
 // Finish freezes them; reading it before Finish panics. FromEdges,

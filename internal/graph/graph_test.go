@@ -116,7 +116,7 @@ func TestNeighborsAllocFree(t *testing.T) {
 	}
 }
 
-// TestPortsMatchNeighbors checks the engine fast paths against the
+// TestPortsMatchNeighbors checks the engine's port methods against the
 // neighbor rows on every generator: rows are sorted and duplicate-free,
 // Degree is the row length, and NeighborAt/PortOf are inverse along
 // the row.

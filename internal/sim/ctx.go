@@ -8,22 +8,17 @@ import (
 
 // Ctx is a node's handle to the simulation: its identity, topology view,
 // messaging, memory meter, output channel and RNG. A Ctx is owned by the
-// node goroutine and must not be shared.
+// node and must not be shared.
 //
-// Topology state is materialized lazily so that engine setup stays O(1)
-// per node even on implicit topologies like Complete: the neighbor slice
-// is fetched on first Neighbors (or first port use without a topology
-// fast path), the id→port map on first PortOf without one, and the
-// private RNG on first Rand.
+// Setup is O(1) per node even on implicit topologies like Complete:
+// ports resolve through the topology's NeighborAt and PortOf, and the
+// private RNG is created on first Rand.
 type Ctx struct {
 	eng *Engine
 	rt  *nodeRT // this node's runtime slot, cached off the hot paths
 	id  int
 	deg int
-	at  IndexedTopology // cached engine fast path (nil when unsupported)
-	nbr []int           // lazily materialized neighbor list (nil until needed)
-	prt map[int]int     // lazy id -> port fallback (topologies without PortOf)
-	rng *rand.Rand      // lazily created on first Rand
+	rng *rand.Rand // lazily created on first Rand
 
 	outbox []routed
 	spare  []routed // retired outbox buffer, recycled by takeOutbox
@@ -41,17 +36,16 @@ type Ctx struct {
 	sentCap   uint32 // edgeCap clamped to uint32, cached off the Engine
 }
 
-// newCtx initializes the node's slot of the engine's flat Ctx slice —
-// one allocation per run, not per node — and returns it.
-func newCtx(e *Engine, ctxs []Ctx, id int) *Ctx {
-	c := &ctxs[id]
-	c.eng, c.rt, c.id, c.at = e, &e.nodes[id], id, e.topoAt
-	if e.topoDeg != nil {
-		c.deg = e.topoDeg.Degree(id)
-	} else {
-		c.nbr = e.topo.Neighbors(id)
-		c.deg = len(c.nbr)
-	}
+// newCtx resets the node's slot of the engine's flat Ctx slice — one
+// allocation per run, not per node — to a fresh execution's state and
+// returns it: no RNG drawn from, nothing staged, a zeroed bandwidth
+// meter whose stamps restart with sentRound.
+func newCtx(e *Engine, id int) *Ctx {
+	c := &e.ctxs[id]
+	c.eng, c.rt, c.id, c.deg, c.rng = e, &e.nodes[id], id, e.topo.Degree(id), nil
+	c.outbox = c.outbox[:0]
+	clear(c.sent)
+	c.sentRound = 0
 	switch {
 	case e.edgeCap > math.MaxInt32:
 		c.sentCap = math.MaxInt32
@@ -63,15 +57,6 @@ func newCtx(e *Engine, ctxs []Ctx, id int) *Ctx {
 		c.sentCap = uint32(e.edgeCap)
 	}
 	return c
-}
-
-// neighbors returns the materialized neighbor list, fetching it from the
-// topology on first use.
-func (c *Ctx) neighbors() []int {
-	if c.nbr == nil {
-		c.nbr = c.eng.topo.Neighbors(c.id)
-	}
-	return c.nbr
 }
 
 // ID returns this node's id in 0..N-1.
@@ -88,32 +73,27 @@ func (c *Ctx) Degree() int { return c.deg }
 
 // Neighbors returns this node's neighbor ids. The slice must not be
 // modified.
-func (c *Ctx) Neighbors() []int { return c.neighbors() }
+func (c *Ctx) Neighbors() []int { return c.eng.topo.Neighbors(c.id) }
 
-// Neighbor returns the id of the neighbor on the given port.
+// Neighbor returns the id of the neighbor on the given port. It panics
+// unless 0 ≤ port < Degree().
 func (c *Ctx) Neighbor(port int) int {
-	if c.nbr == nil && c.at != nil {
-		return c.at.NeighborAt(c.id, port)
-	}
-	return c.neighbors()[port]
+	c.checkPort(port)
+	return c.eng.topo.NeighborAt(c.id, port)
 }
 
 // PortOf returns the port of neighbor id, or -1 if id is not adjacent.
-func (c *Ctx) PortOf(id int) int {
-	if c.eng.topoPort != nil {
-		return c.eng.topoPort.PortOf(c.id, id)
+func (c *Ctx) PortOf(id int) int { return c.eng.topo.PortOf(c.id, id) }
+
+// checkPort panics unless 0 ≤ port < Degree(). Send runs it before
+// metering, so an out-of-range port fails before it can size the
+// bandwidth meter.
+//
+//muvet:hotpath
+func (c *Ctx) checkPort(port int) {
+	if port < 0 || port >= c.deg {
+		panic(fmt.Sprintf("sim: node %d has no port %d (degree %d)", c.id, port, c.deg))
 	}
-	if c.prt == nil {
-		nbr := c.neighbors()
-		c.prt = make(map[int]int, len(nbr))
-		for p, u := range nbr {
-			c.prt[u] = p
-		}
-	}
-	if p, ok := c.prt[id]; ok {
-		return p
-	}
-	return -1
 }
 
 // Rand returns this node's deterministic private RNG. The stream depends
@@ -136,8 +116,9 @@ func (c *Ctx) Round() int { return c.rt.ticks }
 // incremented count from its first instruction.
 func (c *Ctx) Restarts() int { return c.rt.restarts }
 
-// meter charges one message against the per-edge cap of port, growing
-// the stamped count array to cover it first.
+// meter charges one message against the per-edge cap of port (a valid
+// port: see checkPort), growing the stamped count array to cover it
+// first.
 //
 //muvet:hotpath
 func (c *Ctx) meter(port int) {
@@ -155,9 +136,9 @@ func (c *Ctx) meter(port int) {
 	c.sent[port] = v + 1
 }
 
-// growSent extends the bandwidth-meter array to at least n entries
-// (doubling, capped at the degree) so repeated growth on ascending ports
-// stays amortized O(1).
+// growSent extends the bandwidth-meter array to at least n ≤ degree
+// entries (doubling, capped at the degree) so repeated growth on
+// ascending ports stays amortized O(1).
 func (c *Ctx) growSent(n int) {
 	size := 2 * len(c.sent)
 	if size < n {
@@ -166,30 +147,20 @@ func (c *Ctx) growSent(n int) {
 	if size > c.deg {
 		size = c.deg
 	}
-	if size < n {
-		size = n // port ≥ degree: out of range, but let the caller panic on use
-	}
 	sent := make([]uint64, size)
 	copy(sent, c.sent)
 	c.sent = sent
 }
 
 // Send queues one message to the neighbor on port for delivery at the
-// start of the next round. It panics if the per-edge bandwidth cap is
-// exceeded within the current round.
+// start of the next round. It panics unless 0 ≤ port < Degree(), and if
+// the per-edge bandwidth cap is exceeded within the current round.
 //
 //muvet:hotpath
 func (c *Ctx) Send(port int, m Msg) {
+	c.checkPort(port)
 	c.meter(port)
-	var to int
-	if c.nbr != nil {
-		to = c.nbr[port]
-	} else if c.at != nil {
-		to = c.at.NeighborAt(c.id, port)
-	} else {
-		to = c.neighbors()[port]
-	}
-	c.outbox = append(c.outbox, routed{from: c.id, to: to, msg: m})
+	c.outbox = append(c.outbox, routed{from: c.id, to: c.eng.topo.NeighborAt(c.id, port), msg: m})
 }
 
 // SendID queues one message to the adjacent node with the given id.
@@ -237,18 +208,9 @@ func (c *Ctx) Broadcast(m Msg) {
 		copy(grown, out)
 		out = grown
 	}
-	if nbr := c.nbr; nbr != nil {
-		for _, u := range nbr {
-			out = append(out, routed{from: c.id, to: u, msg: m})
-		}
-	} else if at := c.at; at != nil {
-		for p := 0; p < deg; p++ {
-			out = append(out, routed{from: c.id, to: at.NeighborAt(c.id, p), msg: m})
-		}
-	} else {
-		for _, u := range c.neighbors() {
-			out = append(out, routed{from: c.id, to: u, msg: m})
-		}
+	topo, id := c.eng.topo, c.id
+	for p := 0; p < deg; p++ {
+		out = append(out, routed{from: id, to: topo.NeighborAt(id, p), msg: m})
 	}
 	c.outbox = out
 }

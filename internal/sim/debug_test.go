@@ -2,7 +2,11 @@
 
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"mucongest/internal/graph"
+)
 
 // TestPoisonStaleInbox deliberately violates the Tick aliasing contract
 // (retaining the returned slice past the next Tick) and asserts that
@@ -10,7 +14,7 @@ import "testing"
 // of silently stale or clobbered messages.
 func TestPoisonStaleInbox(t *testing.T) {
 	var stale []Incoming
-	e := New(newPath(2), WithSeed(1))
+	e := New(graph.Path(2), WithSeed(1))
 	if _, err := e.Run(func(c *Ctx) {
 		c.SendID(1-c.ID(), Msg{Kind: 7, A: int64(c.ID())})
 		in := c.Tick()

@@ -64,9 +64,8 @@ const (
 	// phaseResume hands every live node its inbox (strict runs, after
 	// the abort decision).
 	phaseResume
-	// phaseBind materializes the shard's node contexts and binds each
-	// node's program form at run start (generic Program path only —
-	// see bindShard in step.go).
+	// phaseBind binds each of the shard's nodes at run start (see
+	// bindNode in step.go), staging its goroutine nodes in gor.
 	phaseBind
 )
 
@@ -208,7 +207,12 @@ func (e *Engine) shardPhase(k phaseKind, s int) {
 			}
 		}
 	case phaseBind:
-		e.bindShard(e.shards[s], lo, hi)
+		st := e.shards[s]
+		for id := lo; id < hi; id++ {
+			if fn := e.bindNode(id); fn != nil {
+				st.gor = append(st.gor, goSpawn{id: id, fn: fn})
+			}
+		}
 	}
 }
 

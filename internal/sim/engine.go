@@ -165,14 +165,6 @@ type Engine struct {
 	maxRounds int
 	workers   int // configured; 0 = GOMAXPROCS, resolved at Run
 
-	// Optional topology fast paths (resolved once in New): degree, the
-	// neighbor on a port, and the port of a neighbor id without
-	// materializing adjacency slices. Implicit topologies like Complete
-	// provide all three, keeping per-node setup O(1).
-	topoDeg  DegreeTopology
-	topoAt   IndexedTopology
-	topoPort PortedTopology
-
 	n     int
 	round int
 	nodes []nodeRT
@@ -286,8 +278,9 @@ type nodeRT struct {
 // bandwidth-meter buffers), the staged-outbox table and the shard
 // scratch. It is recycled across runs — of any engine, experiment
 // sweeps run thousands back to back — through scratchPool. Everything
-// semantic is reset in grab/initShards; only buffer capacities, resume
-// channels and shard RNG sources survive, none of which is observable.
+// semantic is reset in grab/initShards and, per Ctx slot, by newCtx at
+// bind; only buffer capacities, resume channels and shard RNG sources
+// survive, none of which is observable.
 // release scrubs every reference to run-owned data before the state is
 // pooled, so a pooled runScratch keeps nothing alive.
 type runScratch struct {
@@ -295,7 +288,7 @@ type runScratch struct {
 	ctxs      []Ctx
 	senderOut [][]routed
 	shards    []*shardState
-	gor       []goSpawn // spawn list for a generic Program's goroutine nodes
+	gor       []goSpawn // spawn list of the run's goroutine nodes
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -335,9 +328,10 @@ func grab(n int) *runScratch {
 }
 
 // release scrubs the references the finished run left behind (outputs
-// now belong to the Result, topology views and errors to nobody) and
-// returns the scratch to the pool. Buffer capacities, resume channels
-// and shard state stay for the next run to reuse.
+// now belong to the Result, engine references, RNGs and errors to
+// nobody) and returns the scratch to the pool. Buffer capacities,
+// resume channels and shard state stay for the next run to reuse; the
+// next bind resets every Ctx slot (see newCtx).
 func (sc *runScratch) release() {
 	for i := range sc.nodes {
 		rt := &sc.nodes[i]
@@ -345,13 +339,7 @@ func (sc *runScratch) release() {
 		rt.outputs = nil
 		rt.nodeErr = nil
 		c := &sc.ctxs[i]
-		c.eng, c.rt, c.at = nil, nil, nil
-		c.nbr, c.prt, c.rng = nil, nil, nil
-		// Reset the bandwidth meter with the slot: stale stamps must not
-		// alias a future run's stamp space once sentRound restarts (its
-		// wraparound bound is per run, not per pooled-slot lifetime).
-		clear(c.sent)
-		c.sentRound = 0
+		c.eng, c.rt, c.rng = nil, nil, nil
 	}
 	for _, st := range sc.shards {
 		st.err = nil
@@ -376,9 +364,6 @@ func New(topo Topology, opts ...Option) *Engine {
 		n:         topo.N(),
 		workers:   int(defaultWorkers.Load()),
 	}
-	e.topoDeg, _ = topo.(DegreeTopology)
-	e.topoAt, _ = topo.(IndexedTopology)
-	e.topoPort, _ = topo.(PortedTopology)
 	for _, o := range opts {
 		o(e)
 	}
@@ -394,19 +379,23 @@ func (e *Engine) N() int { return e.n }
 // Run executes program on every node and returns the aggregated result.
 // program receives the node's Ctx; returning from program terminates the
 // node. Run returns an error if the round limit was hit, a node
-// panicked, or (in strict mode) μ was violated. Every node runs the
-// classic blocking form on its own goroutine; use RunProgram with a
-// Steps program for goroutine-free execution.
+// panicked, or (in strict mode) μ was violated. It is RunProgram with
+// Func(program): every node runs the classic blocking form on its own
+// goroutine; use RunProgram with a Steps program for goroutine-free
+// execution.
 func (e *Engine) Run(program func(*Ctx)) (*Result, error) {
 	return e.RunProgram(Func(program))
 }
 
 // RunProgram executes p on every node and returns the aggregated
-// result. p picks each node's execution form (see Program): stepped
-// nodes are driven inline by the delivery workers, goroutine nodes run
-// the classic blocking path, and the two interleave freely in one run.
-// Both forms, at every worker count, produce bit-for-bit identical
-// results — the golden-digest and differential-oracle suites pin this.
+// result. Every node is bound the same way: the bind phase calls
+// p.Node on the node's fresh Ctx, and a fault-layer restart repeats
+// exactly that. p picks each node's execution form (see Program):
+// stepped nodes are driven inline by the delivery workers, goroutine
+// nodes run the classic blocking path, and the two interleave freely in
+// one run. Both forms, at every worker count, produce bit-for-bit
+// identical results — the golden-digest and differential-oracle suites
+// pin this.
 func (e *Engine) RunProgram(p Program) (*Result, error) {
 	sc := grab(e.n)
 	e.nodes = sc.nodes
@@ -434,37 +423,7 @@ func (e *Engine) RunProgram(p Program) (*Result, error) {
 	// activeG counts the live goroutine-form nodes — the population of
 	// the arrival barrier. Stepped nodes never arrive: the delivery
 	// phases drive them inline, so phase completion is their barrier.
-	var activeG int
-	if f, ok := p.(Func); ok {
-		// Fast path for the homogeneous goroutine form: no bind phase —
-		// each node builds its Ctx on its own goroutine, parallelizing
-		// setup across nodes regardless of the worker count.
-		program := (func(*Ctx))(f)
-		for i := range e.nodes {
-			if e.nodes[i].resume == nil {
-				e.nodes[i].resume = make(chan []Incoming, 1)
-			}
-		}
-		// The barrier must be armed before any node can arrive at it.
-		e.arrivals.Store(int64(e.n))
-		// All node goroutines run one shared closure and claim their id from
-		// a counter: `go nodeMain()` on a pre-built func value allocates
-		// nothing per spawn, where `go runNode(ctx, program)` would heap-
-		// allocate a closure per node. Ids are claimed exactly once, so
-		// which OS-level goroutine serves which node is irrelevant.
-		var nextID atomic.Int64
-		ctxs := sc.ctxs
-		nodeMain := func() {
-			id := int(nextID.Add(1) - 1)
-			runNode(newCtx(e, ctxs, id), program)
-		}
-		for i := 0; i < e.n; i++ {
-			go nodeMain()
-		}
-		activeG = e.n
-	} else {
-		activeG = e.bindNodes(sc, p)
-	}
+	activeG := e.bindNodes(sc)
 
 	active := e.n
 	woke := false // the engine itself completed the barrier (see dropSleepers)
@@ -741,16 +700,11 @@ func runNode(ctx *Ctx, program func(*Ctx)) {
 				err = fmt.Errorf("sim: node %d panicked: %v", ctx.id, r)
 			}
 		}
-		// Final barrier arrival: publish the termination bit, the error
-		// and any last staged sends, then decrement. A node arrives at
-		// every barrier it was resumed into exactly once — here or in
-		// Tick — so the engine's arrival count stays exact.
-		rt := ctx.rt
-		rt.nodeErr = err
-		rt.done = true
-		if out := ctx.takeOutbox(); len(out) > 0 {
-			ctx.eng.senderOut[ctx.id] = out
-		}
+		// Final barrier arrival: publish the termination, then decrement.
+		// A node arrives at every barrier it was resumed into exactly
+		// once — here or in Tick — so the engine's arrival count stays
+		// exact.
+		ctx.eng.finish(ctx, ctx.rt, err)
 		ctx.eng.arrive()
 	}()
 	program(ctx)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Fault injection: seeded, deterministic failure processes layered on
@@ -350,18 +349,8 @@ func (e *Engine) applyFaults() int {
 	// one reaches its first Tick — staging its round-r sends exactly
 	// like bindNodes' initial spawn — before routing begins. No other
 	// node can arrive concurrently: the whole population is parked.
-	if n := len(e.restartG); n > 0 {
-		e.arrivals.Store(int64(n))
-		gor := e.restartG
-		ctxs := e.ctxs
-		var next atomic.Int64
-		nodeMain := func() {
-			g := gor[next.Add(1)-1]
-			runNode(&ctxs[g.id], g.fn)
-		}
-		for range gor {
-			go nodeMain()
-		}
+	if len(e.restartG) > 0 {
+		e.spawn(e.restartG)
 		<-e.wake
 		for i := range e.restartG {
 			e.restartG[i] = goSpawn{}
@@ -400,14 +389,10 @@ func (e *Engine) crashNode(id int, rt *nodeRT, round int) (wasGoroutine bool) {
 	return wasGoroutine
 }
 
-// restartNode revives a parked node through the bound Program, exactly
-// like run-start binding: the Ctx slot is rebuilt from scratch (fresh
-// topology views, a private RNG replaying its stream from the start, a
-// reset bandwidth meter, Round() back at 0 — only Restarts() tells a
-// restarted execution from a fresh one), Node is re-invoked, and a
-// stepped node runs its first step inline while a goroutine node is
-// staged for the mini-barrier spawn. Emitted outputs, the peak-memory
-// high-water mark and any recorded μ violation survive the crash.
+// restartNode revives a parked node through bindNode, exactly like
+// run-start binding; a goroutine node is staged for the mini-barrier
+// spawn. Emitted outputs, the peak-memory high-water mark and any
+// recorded μ violation survive the crash.
 func (e *Engine) restartNode(id int, rt *nodeRT) (isGoroutine bool) {
 	rt.parked = false
 	rt.restartRound = 0
@@ -415,27 +400,11 @@ func (e *Engine) restartNode(id int, rt *nodeRT) (isGoroutine bool) {
 	rt.ticks = 0
 	e.restarts++
 	e.parkedN--
-	c := &e.ctxs[id]
-	c.nbr, c.prt, c.rng = nil, nil, nil
-	c.outbox = c.outbox[:0]
-	clear(c.sent)
-	c.sentRound = 0
-	c = newCtx(e, e.ctxs, id)
-	step, fn := e.prog.Node(c)
-	if step != nil {
-		rt.step = step
-		e.stepNode(c, rt)
-		return false
+	if fn := e.bindNode(id); fn != nil {
+		e.restartG = append(e.restartG, goSpawn{id: id, fn: fn})
+		return true
 	}
-	if fn == nil {
-		panic(fmt.Sprintf("sim: Program.Node returned neither form (nil StepProgram and nil func) for node %d", id))
-	}
-	rt.step = nil
-	if rt.resume == nil {
-		rt.resume = make(chan []Incoming, 1)
-	}
-	e.restartG = append(e.restartG, goSpawn{id: id, fn: fn})
-	return true
+	return false
 }
 
 // EdgeIsDown reports whether the undirected edge {u, v} is down at

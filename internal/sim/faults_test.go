@@ -190,15 +190,29 @@ func TestFaultFreeRunsUnchanged(t *testing.T) {
 	}
 }
 
-// restartCounter emits its Restarts() count at the start of every
-// execution, then runs a fixed broadcast workload. Crash/restart
-// semantics fall out of the output record: node i's outputs must be
-// exactly 0,1,...,k_i (one execution per restart, state reset each
-// time, prior outputs surviving the crash).
+// execStart is what restartCounter emits at the start of every
+// execution. A restart binds the node exactly like run start, so only
+// Restarts may differ between one node's executions: Round reads 0 and
+// the first Rand draw replays the node's stream from its start.
+type execStart struct {
+	Restarts, Round int
+	Draw            int64 // first Rand().Int63() of the execution
+}
+
+func emitExecStart(c *Ctx) {
+	c.Emit(execStart{Restarts: c.Restarts(), Round: c.Round(), Draw: c.Rand().Int63()})
+}
+
+// restartCounter emits an execStart at the start of every execution,
+// then runs a fixed broadcast workload that keeps drawing from the
+// node's RNG. Crash/restart semantics fall out of the output record:
+// node i's outputs must be exactly one execStart per execution, with
+// Restarts 0,1,...,k_i (state reset each time, prior outputs surviving
+// the crash).
 func restartCounter(c *Ctx) {
-	c.Emit(int64(c.Restarts()))
+	emitExecStart(c)
 	for r := 0; r < 6; r++ {
-		c.Broadcast(Msg{Kind: 1, A: int64(c.ID()), B: int64(r)})
+		c.Broadcast(Msg{Kind: 1, A: c.Rand().Int63(), B: int64(r)})
 		c.Tick()
 	}
 }
@@ -211,35 +225,51 @@ type restartCounterStep struct {
 
 func (s *restartCounterStep) Step(c *Ctx, in []Incoming) bool {
 	if !s.emitted {
-		c.Emit(int64(c.Restarts()))
+		emitExecStart(c)
 		s.emitted = true
 	}
 	if s.r >= 6 {
 		return false
 	}
-	c.Broadcast(Msg{Kind: 1, A: int64(c.ID()), B: int64(s.r)})
+	c.Broadcast(Msg{Kind: 1, A: c.Rand().Int63(), B: int64(s.r)})
 	s.r++
 	return true
 }
 
+// mixedRestartCounter runs restartCounterStep on even nodes and the
+// blocking restartCounter on odd nodes in the same run.
+type mixedRestartCounter struct{}
+
+func (mixedRestartCounter) Node(c *Ctx) (StepProgram, func(*Ctx)) {
+	if c.ID()%2 == 0 {
+		return new(restartCounterStep), nil
+	}
+	return nil, restartCounter
+}
+
 // TestCrashRestartSemantics certifies fail-stop crash semantics through
-// the output record, in both execution modes: every execution of a node
-// emits its current Restarts() value first, so each node's outputs must
-// read 0,1,...,k_i; the k_i must sum to Result.Restarts; and — because a
-// parked node blocks run completion until it restarts and finishes —
-// every crash is eventually restarted, so Restarts == Crashes.
+// the output record, for goroutine, step and mixed populations: every
+// execution of a node emits an execStart first, so each node's outputs
+// must read Restarts 0,1,...,k_i, each with Round 0 and the node's
+// run-start first draw; the k_i must sum to Result.Restarts; and —
+// because a parked node blocks run completion until it restarts and
+// finishes — every crash is eventually restarted, so Restarts ==
+// Crashes.
 func TestCrashRestartSemantics(t *testing.T) {
 	plan := MustParseFaults("crash:p=0.05,restart=2")
 	modes := []struct {
 		name string
-		prog Program
+		run  func(*Engine) (*Result, error)
 	}{
-		{"goroutine", Func(restartCounter)},
-		{"step", Steps(func(c *Ctx) StepProgram { return new(restartCounterStep) })},
+		{"goroutine", func(e *Engine) (*Result, error) { return e.Run(restartCounter) }},
+		{"step", func(e *Engine) (*Result, error) {
+			return e.RunProgram(Steps(func(c *Ctx) StepProgram { return new(restartCounterStep) }))
+		}},
+		{"mixed", func(e *Engine) (*Result, error) { return e.RunProgram(mixedRestartCounter{}) }},
 	}
 	var ref *Result
 	for _, mode := range modes {
-		res, err := New(graph.Cycle(64), WithSeed(3), WithFaults(plan)).RunProgram(mode.prog)
+		res, err := mode.run(New(graph.Cycle(64), WithSeed(3), WithFaults(plan)))
 		if err != nil {
 			t.Fatalf("mode=%s: %v", mode.name, err)
 		}
@@ -252,10 +282,12 @@ func TestCrashRestartSemantics(t *testing.T) {
 		}
 		var totalRestarts int64
 		for id, outs := range res.Outputs {
+			first, _ := outs[0].(execStart)
 			for j, v := range outs {
-				if got, ok := v.(int64); !ok || got != int64(j) {
-					t.Fatalf("mode=%s: node %d output %d = %v, want %d (execution-start emits must read 0,1,2,...)",
-						mode.name, id, j, v, j)
+				want := execStart{Restarts: j, Round: 0, Draw: first.Draw}
+				if got, ok := v.(execStart); !ok || got != want {
+					t.Fatalf("mode=%s: node %d output %d = %v, want %v (every execution must start like run start)",
+						mode.name, id, j, v, want)
 				}
 			}
 			totalRestarts += int64(len(outs) - 1)

@@ -8,8 +8,8 @@ import (
 // This file holds the arithmetic (implicit) topologies beyond Complete:
 // grid, torus and hypercube. Like Complete they store no adjacency at
 // all — O(1) memory at any node count — and answer Degree, NeighborAt
-// and PortOf from arithmetic, so the engine's fast paths never touch a
-// materialized neighbor list. Port numbering follows the repository
+// and PortOf from arithmetic, so the engine's port lookups never touch
+// a materialized neighbor list. Port numbering follows the repository
 // convention everywhere: ports index the ascending-sorted neighbor id
 // list, exactly as the explicit graph.Grid / graph.Torus /
 // graph.Hypercube counterparts sort their adjacency — the two

@@ -52,7 +52,17 @@ func (c *Ctx) Degree() int { return len(c.nbr) }
 func (c *Ctx) Neighbors() []int { return c.nbr }
 
 // Neighbor returns the id of the neighbor on the given port.
-func (c *Ctx) Neighbor(port int) int { return c.nbr[port] }
+func (c *Ctx) Neighbor(port int) int {
+	c.checkPort(port)
+	return c.nbr[port]
+}
+
+// checkPort panics unless 0 ≤ port < Degree(), with sim.Ctx's message.
+func (c *Ctx) checkPort(port int) {
+	if port < 0 || port >= len(c.nbr) {
+		panic(fmt.Sprintf("sim: node %d has no port %d (degree %d)", c.id, port, len(c.nbr)))
+	}
+}
 
 // PortOf returns the port of neighbor id, or -1 if id is not adjacent.
 func (c *Ctx) PortOf(id int) int {
@@ -96,6 +106,7 @@ func (c *Ctx) meter(port int) {
 // Send queues one message to the neighbor on port for delivery at the
 // start of the next round.
 func (c *Ctx) Send(port int, m sim.Msg) {
+	c.checkPort(port)
 	c.meter(port)
 	c.outbox = append(c.outbox, staged{to: c.nbr[port], msg: m})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -144,14 +145,16 @@ func TestRefsimStats(t *testing.T) {
 // and requires identical error strings and identical results for the
 // rounds that completed: a strict μ abort detected at the barrier, a
 // strict abort raised by Charge between barriers, a mid-run node panic,
-// and the round-limit guard.
+// the round-limit guard, and out-of-range ports on Send and Neighbor.
 func TestRefsimAbortParity(t *testing.T) {
-	scenarios := []struct {
+	type scenario struct {
 		name    string
 		program func(NodeCtx)
 		cfg     Config
 		opts    []sim.Option
-	}{
+		want    string // substring the error must contain ("" = any)
+	}
+	scenarios := []scenario{
 		{
 			name: "strict-barrier-overrun",
 			program: func(c NodeCtx) {
@@ -205,6 +208,32 @@ func TestRefsimAbortParity(t *testing.T) {
 			opts: []sim.Option{sim.WithSeed(1), sim.WithMaxRounds(5)},
 		},
 	}
+	// Every node of the cycle has degree 2. A port must be rejected
+	// before it is metered: 1<<40 would otherwise size the bandwidth
+	// meter to 8 TiB.
+	for _, port := range []int{-1, 2, 1 << 40} {
+		for _, op := range []string{"send", "neighbor"} {
+			scenarios = append(scenarios, scenario{
+				name: fmt.Sprintf("%s-port-%d", op, port),
+				program: func(c NodeCtx) {
+					for r := 0; ; r++ {
+						c.Broadcast(sim.Msg{Kind: 1})
+						if r == 2 && c.ID() == 5 {
+							if op == "send" {
+								c.Send(port, sim.Msg{Kind: 2})
+							} else {
+								c.Neighbor(port)
+							}
+						}
+						c.Tick()
+					}
+				},
+				cfg:  Config{Seed: 9},
+				opts: []sim.Option{sim.WithSeed(9)},
+				want: fmt.Sprintf("sim: node 5 panicked: sim: node 5 has no port %d (degree 2)", port),
+			})
+		}
+	}
 	topo := graph.Cycle(16)
 	for _, sc := range scenarios {
 		ref := New(topo, sc.cfg)
@@ -216,6 +245,9 @@ func TestRefsimAbortParity(t *testing.T) {
 		}
 		if refErr.Error() != engErr.Error() {
 			t.Errorf("%s: error mismatch:\n  ref:    %v\n  engine: %v", sc.name, refErr, engErr)
+		}
+		if !strings.Contains(engErr.Error(), sc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", sc.name, engErr, sc.want)
 		}
 		if got, want := digestResult(refRes), digestResult(engRes); got != want {
 			t.Errorf("%s: abort-run digest mismatch: ref %#x, engine %#x", sc.name, got, want)

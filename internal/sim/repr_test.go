@@ -1,69 +1,17 @@
 package sim
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	"mucongest/internal/graph"
 )
 
-// This file pins the topology-representation contract: the engine's
-// plain-Topology path and the implicit arithmetic topologies must be
-// edge-for-edge, port-for-port interchangeable with the graph.Graph
-// fast paths — the historical golden digests reproduce bit-for-bit on
-// every representation, in both execution modes, for every inbox
-// order.
-
-// plainTopo hides every optional fast path of the wrapped topology,
-// exposing only N and Neighbors, so the engine falls back to Ctx's
-// neighbor-slice and PortOf-map paths.
-type plainTopo struct{ t Topology }
-
-func (p plainTopo) N() int                { return p.t.N() }
-func (p plainTopo) Neighbors(v int) []int { return p.t.Neighbors(v) }
-
-// TestGoldenDigestsOnPlainTopology reruns the golden determinism
-// corpora through the plain-Topology path: the cycle and powerlaw
-// graphs behind plainTopo must reproduce the digests recorded with the
-// graph.Graph fast paths, goroutine and step mode alike. A single byte
-// of divergence between the fallback and the DegreeTopology /
-// IndexedTopology / PortedTopology paths would shift the digest.
-func TestGoldenDigestsOnPlainTopology(t *testing.T) {
-	corpora := []struct {
-		name   string
-		topo   Topology
-		seed   int64
-		golden map[InboxOrder]uint64
-	}{
-		{"cycle1536plain", plainTopo{graph.Cycle(1536)}, 7, goldenCycle1536},
-		{"powerlaw1536plain", plainTopo{graph.BarabasiAlbert(1536, 3, rand.New(rand.NewSource(13)))}, 7, goldenPowerlaw1536},
-	}
-	for _, cp := range corpora {
-		if _, ok := cp.topo.(DegreeTopology); ok {
-			t.Fatalf("%s: wrapper leaks DegreeTopology", cp.name)
-		}
-		for order, want := range cp.golden {
-			for _, w := range []int{1, 3} {
-				e := New(cp.topo, WithSeed(cp.seed), WithInboxOrder(order), WithSimWorkers(w))
-				res, err := e.Run(detProgram)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := digestResult(res); got != want {
-					t.Errorf("%s order %v workers %d: digest = %#x, want golden %#x", cp.name, order, w, got, want)
-				}
-				res, err = New(cp.topo, WithSeed(cp.seed), WithInboxOrder(order), WithSimWorkers(w)).RunProgram(detSteps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := digestResult(res); got != want {
-					t.Errorf("%s step mode order %v workers %d: digest = %#x, want golden %#x", cp.name, order, w, got, want)
-				}
-			}
-		}
-	}
-}
+// This file pins the topology-representation contract: the implicit
+// arithmetic topologies must be edge-for-edge, port-for-port
+// interchangeable with graph.Graph — the historical golden digests
+// reproduce bit-for-bit on every representation, in both execution
+// modes, for every inbox order.
 
 // implicitCases pairs each implicit topology with its explicit twin.
 func implicitCases() []struct {
@@ -97,12 +45,9 @@ func TestImplicitShapeMatchesExplicit(t *testing.T) {
 		if tc.implicit.N() != g.N() {
 			t.Fatalf("%s: n = %d, explicit %d", tc.name, tc.implicit.N(), g.N())
 		}
-		deg := tc.implicit.(DegreeTopology)
-		at := tc.implicit.(IndexedTopology)
-		pt := tc.implicit.(PortedTopology)
 		for v := 0; v < g.N(); v++ {
 			want := g.Neighbors(v)
-			if d := deg.Degree(v); d != len(want) {
+			if d := tc.implicit.Degree(v); d != len(want) {
 				t.Fatalf("%s: node %d degree %d, explicit %d", tc.name, v, d, len(want))
 			}
 			got := tc.implicit.Neighbors(v)
@@ -113,14 +58,14 @@ func TestImplicitShapeMatchesExplicit(t *testing.T) {
 				if got[p] != u {
 					t.Fatalf("%s: node %d port %d: implicit %d, explicit %d", tc.name, v, p, got[p], u)
 				}
-				if n := at.NeighborAt(v, p); n != u {
+				if n := tc.implicit.NeighborAt(v, p); n != u {
 					t.Fatalf("%s: NeighborAt(%d,%d) = %d, want %d", tc.name, v, p, n, u)
 				}
-				if n := pt.PortOf(v, u); n != p {
+				if n := tc.implicit.PortOf(v, u); n != p {
 					t.Fatalf("%s: PortOf(%d,%d) = %d, want %d", tc.name, v, u, n, p)
 				}
 			}
-			if pt.PortOf(v, v) != -1 {
+			if tc.implicit.PortOf(v, v) != -1 {
 				t.Fatalf("%s: PortOf(%d,%d) should be -1", tc.name, v, v)
 			}
 		}

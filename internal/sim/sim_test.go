@@ -5,26 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"mucongest/internal/graph"
 )
-
-// pathTopo is a minimal topology for tests: a path 0-1-...-(n-1).
-type pathTopo struct {
-	n   int
-	adj [][]int
-}
-
-func newPath(n int) *pathTopo {
-	t := &pathTopo{n: n, adj: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		if v > 0 {
-			t.adj[v] = append(t.adj[v], v-1)
-		}
-		if v+1 < n {
-			t.adj[v] = append(t.adj[v], v+1)
-		}
-	}
-	return t
-}
 
 // idleForms are the two ways a program can idle for k rounds: the
 // engine sleep (Ctx.Idle) and the naive loop of k Ticks it must be
@@ -73,13 +56,10 @@ func sameRun(t *testing.T, what string, a *Result, aErr error, b *Result, bErr e
 	}
 }
 
-func (t *pathTopo) N() int                { return t.n }
-func (t *pathTopo) Neighbors(v int) []int { return t.adj[v] }
-
 func TestTokenPassingRounds(t *testing.T) {
 	// Pass a token from node 0 to node n-1 along a path; takes n-1 rounds.
 	n := 10
-	e := New(newPath(n))
+	e := New(graph.Path(n))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.SendID(1, Msg{Kind: 7, A: 42})
@@ -150,7 +130,7 @@ func TestBroadcastAllReceive(t *testing.T) {
 }
 
 func TestEdgeCapEnforced(t *testing.T) {
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Send(0, Msg{})
@@ -164,7 +144,7 @@ func TestEdgeCapEnforced(t *testing.T) {
 }
 
 func TestEdgeCapOption(t *testing.T) {
-	e := New(newPath(2), WithEdgeCap(3))
+	e := New(graph.Path(2), WithEdgeCap(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			for i := 0; i < 3; i++ {
@@ -186,7 +166,7 @@ func TestNegativeEdgeCapFailsFast(t *testing.T) {
 	// A nonsensical negative cap must make the very first Send panic
 	// (as it did when the meter compared ints), not wrap into an
 	// effectively unlimited unsigned cap.
-	e := New(newPath(2), WithEdgeCap(-1))
+	e := New(graph.Path(2), WithEdgeCap(-1))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Send(0, Msg{})
@@ -199,7 +179,7 @@ func TestNegativeEdgeCapFailsFast(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	e := New(newPath(3), WithMu(10))
+	e := New(graph.Path(3), WithMu(10))
 	res, err := e.Run(func(c *Ctx) {
 		c.Charge(4)
 		c.Tick()
@@ -219,7 +199,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestMemoryViolationRecorded(t *testing.T) {
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			// 2 neighbors send -> inbox of 2 words, plus 1 charged word = 3 > μ=2.
@@ -238,7 +218,7 @@ func TestMemoryViolationRecorded(t *testing.T) {
 	// Overruns delivered to a sleeping node: each is recorded at the
 	// barrier it happens, the node sleeps on, and OverRounds counts
 	// only the rounds it was over.
-	res, err = runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+	res, err = runIdleForms(t, graph.Path(3), func(idle func(*Ctx, int)) func(*Ctx) {
 		return func(c *Ctx) {
 			if c.ID() == 1 {
 				idle(c, 5)
@@ -270,7 +250,7 @@ func TestViolationDedupPerNode(t *testing.T) {
 	// Violation for node 1, carrying the first overrun's round and an
 	// over-μ round count of 6 — not one entry per round.
 	const rounds = 6
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			c.Charge(1)
@@ -329,7 +309,7 @@ func TestViolationOrderedByFirstOccurrence(t *testing.T) {
 }
 
 func TestStrictMemoryAborts(t *testing.T) {
-	e := New(newPath(3), WithMu(1), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(1), WithStrictMemory())
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() != 1 {
 			c.SendID(1, Msg{})
@@ -343,7 +323,7 @@ func TestStrictMemoryAborts(t *testing.T) {
 	// The same overrun delivered to a sleeping node: node 1 idles
 	// through the barrier its neighbors' messages arrive at, and the
 	// inbox metered for it aborts the run as it does for a ticking node.
-	res, err := runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+	res, err := runIdleForms(t, graph.Path(3), func(idle func(*Ctx, int)) func(*Ctx) {
 		return func(c *Ctx) {
 			if c.ID() == 1 {
 				idle(c, 4)
@@ -366,7 +346,7 @@ func TestStrictChargeCountsHeldInbox(t *testing.T) {
 	// then Charges 3 words. Deliver-style accounting says the node now
 	// holds 3 live + 2 inbox = 5 > μ, so strict mode must abort — the old
 	// check compared only the 3 live words against μ and let it pass.
-	e := New(newPath(3), WithMu(4), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(4), WithStrictMemory())
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			in := c.Tick() // receives one message from each neighbor
@@ -392,7 +372,7 @@ func TestStrictChargeCountsHeldInbox(t *testing.T) {
 func TestStrictChargeAloneStillUnderMu(t *testing.T) {
 	// Control for the inbox-accounting fix: the same Charge with an empty
 	// inbox stays under μ and must not abort.
-	e := New(newPath(3), WithMu(4), WithStrictMemory())
+	e := New(graph.Path(3), WithMu(4), WithStrictMemory())
 	res, err := e.Run(func(c *Ctx) {
 		c.Tick() // nobody sends: inbox empty
 		if c.ID() == 1 {
@@ -413,7 +393,7 @@ func TestStrictMemoryAbortsAcrossShards(t *testing.T) {
 	// (id > ShardSpan) exercises the separate account/resume phases of
 	// the sharded strict path.
 	n := ShardSpan + 88
-	e := New(newPath(n), WithMu(1), WithStrictMemory())
+	e := New(graph.Path(n), WithMu(1), WithStrictMemory())
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == ShardSpan+42 {
 			c.Tick() // receives 2 messages > μ=1
@@ -434,7 +414,7 @@ func TestStrictMemoryAbortsAcrossShards(t *testing.T) {
 	// The same overrun landing on a sleeper in shard 1, while every
 	// node of shard 0 sleeps too, across delivery worker counts.
 	for _, w := range []int{1, 4} {
-		res, err := runIdleForms(t, newPath(n), func(idle func(*Ctx, int)) func(*Ctx) {
+		res, err := runIdleForms(t, graph.Path(n), func(idle func(*Ctx, int)) func(*Ctx) {
 			return func(c *Ctx) {
 				if c.ID() == ShardSpan+42 || c.ID() < ShardSpan {
 					idle(c, 3)
@@ -458,7 +438,7 @@ func TestChargeOnlyViolationCounted(t *testing.T) {
 	// A node over μ purely via Charge — receiving no messages at all —
 	// must still be recorded, and OverRounds must count every quiet round
 	// it stays over, per the documented "every round over μ" semantics.
-	e := New(newPath(3), WithMu(2))
+	e := New(graph.Path(3), WithMu(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			c.Charge(5)
@@ -488,7 +468,7 @@ func TestChargeRejectsNegativeWords(t *testing.T) {
 	// negative, bypassing Release's underflow panic and corrupting peak
 	// and strict-μ accounting. It must panic (surfacing as a node error)
 	// before touching the meter.
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Charge(5)
@@ -509,7 +489,7 @@ func TestChargeRejectsNegativeWords(t *testing.T) {
 func TestReleaseRejectsNegativeWords(t *testing.T) {
 	// Symmetric guard: Release(-n) would grow live words without the
 	// strict-μ check Charge performs.
-	e := New(newPath(2))
+	e := New(graph.Path(2))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.Charge(2)
@@ -523,7 +503,7 @@ func TestReleaseRejectsNegativeWords(t *testing.T) {
 }
 
 func TestMaxRoundsGuard(t *testing.T) {
-	e := New(newPath(2), WithMaxRounds(10))
+	e := New(graph.Path(2), WithMaxRounds(10))
 	_, err := e.Run(func(c *Ctx) {
 		for {
 			c.Tick()
@@ -535,7 +515,7 @@ func TestMaxRoundsGuard(t *testing.T) {
 	// The limit landing mid-sleep: node 0 idles across it while node 1
 	// keeps ticking. The abort wakes the sleeper at the same barrier,
 	// with the same tick count, as the k-Tick loop.
-	res, err := runIdleForms(t, newPath(2), func(idle func(*Ctx, int)) func(*Ctx) {
+	res, err := runIdleForms(t, graph.Path(2), func(idle func(*Ctx, int)) func(*Ctx) {
 		return func(c *Ctx) {
 			if c.ID() == 0 {
 				c.Tick()
@@ -557,7 +537,7 @@ func TestMaxRoundsGuard(t *testing.T) {
 // still leaves at the following Tick.
 func TestIdleNonPositiveIsNoOp(t *testing.T) {
 	for _, k := range []int{0, -1} {
-		res, err := runIdleForms(t, newPath(2), func(idle func(*Ctx, int)) func(*Ctx) {
+		res, err := runIdleForms(t, graph.Path(2), func(idle func(*Ctx, int)) func(*Ctx) {
 			return func(c *Ctx) {
 				c.SendID(1-c.ID(), Msg{Kind: 1, A: int64(c.ID())})
 				idle(c, k)
@@ -585,7 +565,7 @@ func TestIdleNonPositiveIsNoOp(t *testing.T) {
 // out in its first round, messages arriving while the node idles are
 // dropped from its view, and Round() advances by exactly k.
 func TestIdleSendsLeaveInFirstRound(t *testing.T) {
-	res, err := runIdleForms(t, newPath(3), func(idle func(*Ctx, int)) func(*Ctx) {
+	res, err := runIdleForms(t, graph.Path(3), func(idle func(*Ctx, int)) func(*Ctx) {
 		return func(c *Ctx) {
 			switch c.ID() {
 			case 0:
@@ -685,7 +665,7 @@ func TestInboxOrders(t *testing.T) {
 }
 
 func TestDroppedMessagesToFinishedNodes(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			return // finishes immediately
@@ -705,7 +685,7 @@ func TestDroppedMessagesToFinishedNodes(t *testing.T) {
 }
 
 func TestNodePanicPropagates(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 2 {
 			panic("boom")
@@ -718,7 +698,7 @@ func TestNodePanicPropagates(t *testing.T) {
 }
 
 func TestEmitCostsNoMemory(t *testing.T) {
-	e := New(newPath(2), WithMu(1))
+	e := New(graph.Path(2), WithMu(1))
 	res, err := e.Run(func(c *Ctx) {
 		for i := 0; i < 100; i++ {
 			c.Emit(i)
@@ -799,7 +779,7 @@ func TestCompleteTopologyImplicit(t *testing.T) {
 }
 
 func TestSendToNonNeighborPanics(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	_, err := e.Run(func(c *Ctx) {
 		if c.ID() == 0 {
 			c.SendID(2, Msg{}) // 2 is not adjacent to 0 on a path
@@ -812,7 +792,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 }
 
 func TestPortAddressing(t *testing.T) {
-	e := New(newPath(3))
+	e := New(graph.Path(3))
 	res, err := e.Run(func(c *Ctx) {
 		if c.ID() == 1 {
 			if c.PortOf(0) < 0 || c.PortOf(2) < 0 || c.PortOf(1) != -1 {

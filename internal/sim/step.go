@@ -69,49 +69,47 @@ type Steps func(c *Ctx) StepProgram
 // Node implements Program: every node takes the step form.
 func (s Steps) Node(c *Ctx) (StepProgram, func(*Ctx)) { return s(c), nil }
 
-// goSpawn is one goroutine-form node staged by bindShard for spawning
-// after every shard is bound.
+// goSpawn is one goroutine-form node staged for spawning once every
+// node it shares a barrier with is bound.
 type goSpawn struct {
 	id int
 	fn func(*Ctx)
 }
 
-// bindShard materializes the shard's node contexts and binds each
-// node's program form. Stepped nodes run their first step inline — the
-// code a blocking program executes before its first Tick — so by the
-// time the bind phase completes, every stepped node has staged its
-// round-0 sends exactly like a freshly spawned goroutine node arriving
-// at the first barrier. Goroutine nodes get their resume channel and
-// are staged in the shard scratch for spawning once binding completes
-// (spawning here would let them race the still-binding shards at the
-// barrier).
-func (e *Engine) bindShard(st *shardState, lo, hi int) {
-	for id := lo; id < hi; id++ {
-		c := newCtx(e, e.ctxs, id)
-		step, fn := e.prog.Node(c)
-		rt := &e.nodes[id]
-		if step != nil {
-			rt.step = step
-			e.stepNode(c, rt)
-			continue
-		}
-		if fn == nil {
-			panic(fmt.Sprintf("sim: Program.Node returned neither form (nil StepProgram and nil func) for node %d", id))
-		}
-		if rt.resume == nil {
-			rt.resume = make(chan []Incoming, 1)
-		}
-		st.gor = append(st.gor, goSpawn{id: id, fn: fn})
+// bindNode binds node id to the run's Program, at run start and again
+// on every fault-layer restart: it resets the node's Ctx slot to a
+// fresh execution (Round() 0, the private RNG replaying its stream from
+// the start, a zeroed bandwidth meter — only Restarts() tells a
+// restarted execution from a fresh one) and calls Program.Node. A
+// stepped node runs its first step inline — the code a blocking program
+// executes before its first Tick — so it stages its round-0 sends
+// exactly like a freshly spawned goroutine node arriving at the first
+// barrier. A goroutine node gets its resume channel and its func is
+// returned for spawning; spawning here would let it race still-binding
+// nodes at the barrier.
+func (e *Engine) bindNode(id int) func(*Ctx) {
+	c := newCtx(e, id)
+	step, fn := e.prog.Node(c)
+	rt := &e.nodes[id]
+	rt.step = step
+	if step != nil {
+		e.stepNode(c, rt)
+		return nil
 	}
+	if fn == nil {
+		panic(fmt.Sprintf("sim: Program.Node returned neither form (nil StepProgram and nil func) for node %d", id))
+	}
+	if rt.resume == nil {
+		rt.resume = make(chan []Incoming, 1)
+	}
+	return fn
 }
 
-// bindNodes binds every node's program form through the delivery pool
-// (parallel at large n), then spawns the goroutine-form nodes the
-// shards staged. Returns the goroutine-node count — the population of
-// the arrival barrier.
-func (e *Engine) bindNodes(sc *runScratch, p Program) int {
-	// e.prog was set by RunProgram and stays set for the whole run: the
-	// fault layer re-invokes Node on restart.
+// bindNodes binds every node through the delivery pool (phaseBind,
+// parallel at large n), then spawns the goroutine-form nodes the shards
+// staged. Returns the goroutine-node count — the population of the
+// arrival barrier.
+func (e *Engine) bindNodes(sc *runScratch) int {
 	e.runPhase(phaseBind)
 	gor := sc.gor[:0]
 	for _, st := range e.shards {
@@ -122,13 +120,22 @@ func (e *Engine) bindNodes(sc *runScratch, p Program) int {
 		st.gor = st.gor[:0]
 	}
 	sc.gor = gor
+	e.spawn(gor)
+	return len(gor)
+}
+
+// spawn arms the arrival barrier with gor's population, then starts one
+// goroutine per staged node; each runs until its first Tick (or its
+// return) and arrives. It serves both the run-start spawn and the fault
+// point's restart mini-barrier. All goroutines run one shared closure
+// and claim their node from a counter: spawning allocates one closure
+// per call, where `go runNode(...)` with arguments would heap-allocate
+// per node. Entries are claimed exactly once, so which goroutine serves
+// which node is irrelevant.
+func (e *Engine) spawn(gor []goSpawn) {
 	if len(gor) == 0 {
-		return 0
+		return
 	}
-	// Arm the barrier before the first spawn can arrive at it. The spawn
-	// loop reuses the Func fast path's trick: one shared closure and an
-	// id-claim counter, so spawning allocates one closure per run — `go
-	// runNode(...)` with arguments would heap-allocate per node.
 	e.arrivals.Store(int64(len(gor)))
 	var next atomic.Int64
 	ctxs := e.ctxs
@@ -139,7 +146,6 @@ func (e *Engine) bindNodes(sc *runScratch, p Program) int {
 	for range gor {
 		go nodeMain()
 	}
-	return len(gor)
 }
 
 // stepNode drives one round of a stepped node inline on the calling
@@ -159,12 +165,12 @@ func (e *Engine) stepNode(c *Ctx, rt *nodeRT) {
 		// Aborted runs unwind goroutine nodes via the errAbort panic,
 		// which the error harvest filters out; terminating with a nil
 		// error is the observably identical step-mode ending.
-		e.finishStep(c, rt, nil)
+		e.finish(c, rt, nil)
 		return
 	}
 	cont, err := e.stepSafe(c, rt.step, in)
 	if !cont {
-		e.finishStep(c, rt, err)
+		e.finish(c, rt, err)
 		return
 	}
 	rt.ticks++
@@ -192,13 +198,13 @@ func (e *Engine) stepSafe(c *Ctx, p StepProgram, in []Incoming) (cont bool, err 
 	return p.Step(c, in), nil
 }
 
-// finishStep is a stepped node's termination: the step-mode twin of
-// runNode's deferred final arrival, publishing the termination bit, the
-// error and any last staged sends. No arrival decrement — stepped nodes
-// never enter the barrier population.
+// finish publishes a node's termination: the done bit, the error and
+// any last staged sends. A stepped node terminates with this alone —
+// stepped nodes never enter the barrier population — while runNode
+// follows it with the goroutine node's final arrival.
 //
 //muvet:hotpath
-func (e *Engine) finishStep(c *Ctx, rt *nodeRT, err error) {
+func (e *Engine) finish(c *Ctx, rt *nodeRT, err error) {
 	rt.nodeErr = err
 	rt.done = true
 	if out := c.takeOutbox(); len(out) > 0 {

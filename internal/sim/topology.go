@@ -6,34 +6,39 @@ import (
 	"sync/atomic"
 )
 
-// Topology describes the communication graph the engine runs on. It is
-// satisfied by graph.Graph; the engine only needs the node count and
-// adjacency lists. Adjacency lists must be symmetric: u lists v iff v
-// lists u.
+// Topology describes the communication graph the engine runs on: the
+// node count, each node's adjacency list, and port-indexed access to it
+// that needs no materialized slice. graph.Graph and the implicit
+// families (Complete, Grid, Torus, Hypercube) satisfy it. Adjacency
+// lists must be symmetric: u lists v iff v lists u.
 type Topology interface {
 	// N returns the number of nodes, labeled 0..N-1.
 	N() int
 	// Neighbors returns the neighbor ids of v. The returned slice must
 	// not be modified and must be stable across calls.
 	Neighbors(v int) []int
+	DegreeTopology
+	IndexedTopology
+	PortedTopology
 }
 
-// DegreeTopology is an optional Topology extension: the degree of a node
-// without materializing its adjacency slice. Implementing it lets the
-// engine set up each node in O(1) instead of O(deg).
+// DegreeTopology is the degree part of Topology: the degree of a node
+// without materializing its adjacency slice, so the engine sets up each
+// node in O(1) instead of O(deg).
 type DegreeTopology interface {
 	Degree(v int) int
 }
 
-// IndexedTopology is an optional Topology extension: the neighbor id on
-// a given port without materializing the adjacency slice. Ports must be
-// consistent with Neighbors: NeighborAt(v, p) == Neighbors(v)[p].
+// IndexedTopology is the port-to-neighbor part of Topology: the
+// neighbor id on a given port without materializing the adjacency
+// slice. Ports must be consistent with Neighbors: NeighborAt(v, p) ==
+// Neighbors(v)[p].
 type IndexedTopology interface {
 	NeighborAt(v, port int) int
 }
 
-// PortedTopology is an optional Topology extension: the port of a
-// neighbor id (-1 when not adjacent) without materializing the
+// PortedTopology is the neighbor-to-port part of Topology: the port of
+// a neighbor id (-1 when not adjacent) without materializing the
 // adjacency slice or a per-node port map.
 type PortedTopology interface {
 	PortOf(v, id int) int

@@ -2,7 +2,7 @@
 // mucongest.bench/v1 JSON schema on stdout: one entry per benchmark
 // with name, ns/op, B/op and allocs/op. `make bench-record` pipes the
 // BenchmarkEngineRound* cells through it to produce the committed
-// performance baseline (BENCH_PR4.json), which CI validates with
+// performance baseline (BENCH_PR10.json), which CI validates with
 // internal/tools/recordcheck — so the perf trajectory across PRs stays
 // machine-readable and cannot silently drop fields.
 //
