@@ -1,8 +1,10 @@
 package congest
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -337,5 +339,118 @@ func TestRelabelUniformDegreePermutation(t *testing.T) {
 		if id != i {
 			t.Fatalf("new ids not a permutation of 0..%d: %v", n-1, ids)
 		}
+	}
+}
+
+// upcastRun is what one node reports from an Upcast test run.
+type upcastRun struct {
+	tree     *Tree
+	consumed [][2]int64 // (origin, index) of every message consumed here
+	dealt    int
+	round    int
+}
+
+// TestUpcast runs Upcast with and without credits and with dealing, on
+// a path, a star and a connected gnp, with the root as the only sink
+// and with extra sinks inside the tree. Every node sends id%3+1 tagged
+// messages. Each must be consumed exactly once, by its nearest sink
+// ancestor-or-self; dealing must spread the root's messages evenly over
+// its children; every node must return on the same round; and the
+// engine's edge cap of 1 must never trip.
+func TestUpcast(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	graphs := map[string]*graph.Graph{
+		"path": graph.Path(9),
+		"star": graph.Star(12),
+		"gnp":  graph.GnpConnected(25, 0.25, rng),
+	}
+	modes := []struct {
+		name          string
+		credits, deal bool
+	}{{"credits", true, false}, {"plain", false, false}, {"deal", true, true}}
+	for gname, g := range graphs {
+		for _, inner := range []bool{false, true} {
+			for _, mode := range modes {
+				name := fmt.Sprintf("%s/inner=%v/%s", gname, inner, mode.name)
+				isSink := func(v int) bool { return inner && v%4 == 1 }
+				maxDepth := g.N()
+				res := runAll(t, g, func(c *sim.Ctx) {
+					tr := BuildBFSTree(c, 0, maxDepth)
+					var mine []sim.Msg
+					for j := 0; j <= c.ID()%3; j++ {
+						mine = append(mine, sim.Msg{A: int64(c.ID()), B: int64(j)})
+					}
+					run := upcastRun{tree: tr}
+					dealt := Upcast(c, tr, maxDepth, mine, isSink(c.ID()), mode.credits, mode.deal,
+						func(m sim.Msg) { run.consumed = append(run.consumed, [2]int64{m.A, m.B}) })
+					run.dealt, run.round = len(dealt), c.Round()
+					c.Emit(run)
+				}, sim.WithEdgeCap(1))
+				runs := make([]upcastRun, g.N())
+				for v := range runs {
+					runs[v] = res.Outputs[v][0].(upcastRun)
+				}
+				// Expected consumer: the nearest sink ancestor-or-self.
+				consumer := func(v int) int {
+					for v != 0 && !isSink(v) {
+						v = runs[v].tree.Parent
+					}
+					return v
+				}
+				seen := map[[2]int64]bool{}
+				for v, r := range runs {
+					if r.round != runs[0].round {
+						t.Fatalf("%s: node %d returned at round %d, root at %d", name, v, r.round, runs[0].round)
+					}
+					for _, key := range r.consumed {
+						if seen[key] {
+							t.Fatalf("%s: message %v consumed twice", name, key)
+						}
+						seen[key] = true
+						if want := consumer(int(key[0])); want != v {
+							t.Fatalf("%s: message %v consumed at %d, want %d", name, key, v, want)
+						}
+					}
+				}
+				total := 0
+				for v := 0; v < g.N(); v++ {
+					total += v%3 + 1
+				}
+				if len(seen) != total {
+					t.Fatalf("%s: %d messages consumed, want %d", name, len(seen), total)
+				}
+				dealtSum, lo, hi := 0, int(^uint(0)>>1), 0
+				for _, ch := range runs[0].tree.Children {
+					d := runs[ch].dealt
+					dealtSum += d
+					lo, hi = min(lo, d), max(hi, d)
+				}
+				switch {
+				case mode.deal && (dealtSum != len(runs[0].consumed) || hi-lo > 1):
+					t.Fatalf("%s: root consumed %d, dealt %d with per-child spread [%d,%d]",
+						name, len(runs[0].consumed), dealtSum, lo, hi)
+				case !mode.deal && dealtSum != 0:
+					t.Fatalf("%s: %d messages dealt without deal", name, dealtSum)
+				}
+			}
+		}
+	}
+}
+
+// TestUpcastOutsideTreePanics: on a two-component graph the nodes the
+// tree never reached fail with an error that names them, not with a
+// send to the non-neighbor -1.
+func TestUpcastOutsideTreePanics(t *testing.T) {
+	g, err := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.New(g).Run(func(c *sim.Ctx) {
+		tr := BuildBFSTree(c, 0, g.N())
+		Upcast(c, tr, g.N(), []sim.Msg{{A: 1}}, false, true, false, func(sim.Msg) {})
+	})
+	if err == nil || !strings.Contains(err.Error(), "is outside the tree rooted at 0") ||
+		strings.Contains(err.Error(), "non-neighbor") {
+		t.Fatalf("got error %v, want a node outside the tree", err)
 	}
 }

@@ -1,15 +1,17 @@
 // Package congest implements the standard CONGEST building blocks the
 // paper relies on, as synchronous subroutines over sim.Ctx: BFS-tree
 // construction, pipelined convergecast aggregation (Lemma B.4),
-// pipelined broadcast, global aggregate helpers, and the degree-class
-// relabeling of Lemma B.5.
+// pipelined broadcast, global aggregate helpers, the degree-class
+// relabeling of Lemma B.5, the pipelined upcast that collects messages
+// at sinks up the tree (Upcast), and the FINISH countdown that ends a
+// data-dependent subroutine on one round everywhere (Finish/Finished).
 //
 // Calling convention: these are SPMD subroutines — every node of the
 // engine must call the same function at the same logical point of its
 // program with consistent arguments, as all nodes advance in lockstep.
 // Each subroutine runs for a fixed number of rounds derived from the
-// caller-supplied depth bound, so all nodes leave the subroutine
-// simultaneously.
+// caller-supplied depth bound, or ends with the FINISH countdown, so
+// all nodes leave the subroutine simultaneously.
 package congest
 
 import (
@@ -23,6 +25,12 @@ const (
 	kindChildAck
 	kindAgg
 	kindDown
+	kindUp
+	kindUpDone
+	kindCredit
+	kindDeal
+	kindDealCredit
+	kindFinish
 	// KindUser is the first message kind available to client packages.
 	KindUser int32 = 64
 )

@@ -3,6 +3,7 @@ package mergesim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -61,6 +62,24 @@ func TestOneWayExactSummaryCorrect(t *testing.T) {
 		}
 		if res.Rounds <= 0 {
 			t.Fatal("no rounds")
+		}
+	}
+	// Two components: every runner spans one BFS tree from node 0, so
+	// each must refuse the graph before it builds an engine.
+	split, err := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := randomItems(split.N(), 20, 30, rng)
+	kind := sketch.NewExactKind(30)
+	errs := map[string]error{}
+	_, _, errs["RunOneWay"] = RunOneWay(split, items, kind)
+	_, _, errs["RunFully"] = RunFully(split, items, kind, 0)
+	_, _, errs["RunComposable"] = RunComposable(split, items, kind)
+	_, _, errs["RunExactCounts"] = RunExactCounts(split, items, []int64{1, 2})
+	for name, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "disconnected") {
+			t.Fatalf("%s on two components: got error %v, want a disconnected-graph error", name, err)
 		}
 	}
 }

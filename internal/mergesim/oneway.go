@@ -25,13 +25,7 @@ import (
 )
 
 const (
-	kindItem int32 = congest.KindUser + 32 + iota
-	kindItemDone
-	kindItemCredit
-	kindSumWord
-	kindSumDone
-	kindFinish2
-	kindWeight
+	kindWeight int32 = congest.KindUser + 32 + iota
 	kindCluster
 	kindRole
 	kindMergeWord
@@ -113,168 +107,65 @@ func OneWayProgram(items [][]int64, kind stream.Kind, root, maxDepth int) func(*
 	}
 }
 
-// gatherItems pipelines every node's items to its cluster leader with
-// credit flow control; leaders Insert arriving items. Termination:
-// DONE converges to the root, which floods a FINISH countdown.
+// gatherItems pipelines every node's items to its cluster leader over
+// congest.Upcast with credit flow control; leaders Insert arriving
+// items.
 func gatherItems(c *sim.Ctx, tr *congest.Tree, maxDepth int,
 	isLeader bool, mine []int64, summary stream.Summary) {
 
-	queue := append([]int64(nil), mine...)
+	queued := len(mine)
 	if isLeader {
-		for _, x := range mine {
-			summary.Insert(x)
-		}
-		queue = nil
+		queued = 0
 	}
-	c.Charge(int64(len(queue) + 2*len(tr.Children) + 8))
-	defer c.Release(int64(len(queue) + 2*len(tr.Children) + 8))
-	childDone := make(map[int]bool, len(tr.Children))
-	outstanding := make(map[int]int, len(tr.Children))
-	credits := 0
-	doneSent := false
-	queueCap := 2*len(tr.Children) + 4
-	isRoot := tr.Parent < 0
-
-	for {
-		if !isRoot {
-			switch {
-			case len(queue) > 0 && credits > 0:
-				x := queue[0]
-				queue = queue[1:]
-				credits--
-				c.SendID(tr.Parent, sim.Msg{Kind: kindItem, A: x})
-			case len(queue) == 0 && !doneSent && len(childDone) == len(tr.Children):
-				doneSent = true
-				c.SendID(tr.Parent, sim.Msg{Kind: kindItemDone})
-			}
-		}
-		space := queueCap - len(queue)
-		if isLeader {
-			space = len(tr.Children)
-		}
-		for _, ch := range tr.Children {
-			if space <= 0 {
-				break
-			}
-			if !childDone[ch] && outstanding[ch] < 2 {
-				outstanding[ch]++
-				space--
-				c.SendID(ch, sim.Msg{Kind: kindItemCredit})
-			}
-		}
-		if isRoot && len(childDone) == len(tr.Children) && len(queue) == 0 {
-			for _, ch := range tr.Children {
-				c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(maxDepth)})
-			}
-			c.Idle(maxDepth + 1)
-			return
-		}
-		for _, m := range c.Tick() {
-			switch m.Msg.Kind {
-			case kindItem:
-				outstanding[m.From]--
-				if isLeader {
-					summary.Insert(m.Msg.A)
-				} else {
-					queue = append(queue, m.Msg.A)
-				}
-			case kindItemDone:
-				childDone[m.From] = true
-			case kindItemCredit:
-				credits++
-			case kindFinish2:
-				finishDown(c, tr, int(m.Msg.A))
-				return
-			}
-		}
+	charged := int64(queued + 2*len(tr.Children) + 8)
+	c.Charge(charged)
+	defer c.Release(charged)
+	msgs := make([]sim.Msg, len(mine))
+	for i, x := range mine {
+		msgs[i] = sim.Msg{A: x}
 	}
+	congest.Upcast(c, tr, maxDepth, msgs, isLeader, true, false,
+		func(m sim.Msg) { summary.Insert(m.A) })
 }
 
 // gatherSummaries streams every leader's serialized summary up the tree
-// (FIFO relays, words tagged with the leader id); the root reassembles
-// arriving summaries and folds each completed one into the main summary
-// via the one-way merge. Returns the main summary's words at the root.
+// over congest.Upcast (FIFO relays, words tagged with the leader id);
+// the root reassembles arriving summaries and folds each completed one
+// into the main summary via the one-way merge. Returns the main
+// summary's words at the root.
 func gatherSummaries(c *sim.Ctx, tr *congest.Tree, maxDepth int,
 	isLeader bool, summary stream.Summary, kind stream.Kind, root int) []int64 {
 
-	type word struct{ leader, idx, val int64 }
-	var queue []word
-	M := kind.M()
+	var mine []sim.Msg
 	if isLeader && c.ID() != root {
-		ws := summary.Words()
-		for i, w := range ws {
-			queue = append(queue, word{int64(c.ID()), int64(i), w})
+		for i, w := range summary.Words() {
+			mine = append(mine, sim.Msg{A: int64(c.ID()), B: int64(i), C: w})
 		}
 	}
-	var main stream.OneWayMergeable
+	c.Charge(int64(len(mine) + 8))
+	defer c.Release(int64(len(mine) + 8))
+	if c.ID() != root {
+		congest.Upcast(c, tr, maxDepth, mine, false, false, false, nil)
+		return nil
+	}
+	M := kind.M()
+	main := summary.(stream.OneWayMergeable)
 	partial := map[int64][]int64{}
 	gotWords := map[int64]int{}
-	if c.ID() == root {
-		if summary == nil {
-			summary = kind.New()
+	congest.Upcast(c, tr, maxDepth, nil, true, false, false, func(m sim.Msg) {
+		l := m.A
+		if partial[l] == nil {
+			partial[l] = make([]int64, M)
+			c.Charge(int64(M))
 		}
-		main = summary.(stream.OneWayMergeable)
-	}
-	c.Charge(int64(len(queue) + 8))
-	defer c.Release(int64(len(queue) + 8))
-	childDone := make(map[int]bool, len(tr.Children))
-	doneSent := false
-
-	for {
-		if tr.Parent >= 0 {
-			switch {
-			case len(queue) > 0:
-				w := queue[0]
-				queue = queue[1:]
-				c.SendID(tr.Parent, sim.Msg{Kind: kindSumWord, A: w.leader, B: w.idx, C: w.val})
-			case !doneSent && len(childDone) == len(tr.Children):
-				doneSent = true
-				c.SendID(tr.Parent, sim.Msg{Kind: kindSumDone})
-			}
+		partial[l][m.B] = m.C
+		gotWords[l]++
+		if gotWords[l] == M {
+			main.MergeFrom(partial[l])
+			delete(partial, l)
+			delete(gotWords, l)
+			c.Release(int64(M))
 		}
-		if c.ID() == root && len(childDone) == len(tr.Children) {
-			for _, ch := range tr.Children {
-				c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(maxDepth)})
-			}
-			c.Idle(maxDepth + 1)
-			return main.Words()
-		}
-		for _, m := range c.Tick() {
-			switch m.Msg.Kind {
-			case kindSumWord:
-				if c.ID() == root {
-					l := m.Msg.A
-					if partial[l] == nil {
-						partial[l] = make([]int64, M)
-						c.Charge(int64(M))
-					}
-					partial[l][m.Msg.B] = m.Msg.C
-					gotWords[l]++
-					if gotWords[l] == M {
-						main.MergeFrom(partial[l])
-						delete(partial, l)
-						delete(gotWords, l)
-						c.Release(int64(M))
-					}
-				} else {
-					queue = append(queue, word{m.Msg.A, m.Msg.B, m.Msg.C})
-				}
-			case kindSumDone:
-				childDone[m.From] = true
-			case kindFinish2:
-				finishDown(c, tr, int(m.Msg.A))
-				return nil
-			}
-		}
-	}
-}
-
-func finishDown(c *sim.Ctx, tr *congest.Tree, ttl int) {
-	if ttl <= 0 {
-		return
-	}
-	for _, ch := range tr.Children {
-		c.SendID(ch, sim.Msg{Kind: kindFinish2, A: int64(ttl - 1)})
-	}
-	c.Idle(ttl)
+	})
+	return main.Words()
 }

@@ -1,6 +1,7 @@
 package mergesim
 
 import (
+	"errors"
 	"fmt"
 
 	"mucongest/internal/congest"
@@ -26,7 +27,13 @@ func RunComposable(g *graph.Graph, items [][]int64, kind stream.Kind, opts ...si
 	return runMerge(g, kind, ComposableProgram(items, kind, 0, g.N()), opts...)
 }
 
+// errDisconnected rejects a graph the root's BFS tree cannot span.
+var errDisconnected = errors.New("mergesim: disconnected graph: the root's BFS tree must span every node")
+
 func runMerge(g *graph.Graph, kind stream.Kind, program func(*sim.Ctx), opts ...sim.Option) (stream.Summary, *sim.Result, error) {
+	if !g.Connected() {
+		return nil, nil, errDisconnected
+	}
 	e := sim.New(g, opts...)
 	res, err := e.Run(program)
 	if err != nil {
@@ -71,6 +78,9 @@ func ExactCountProgram(items [][]int64, candidates []int64, root, maxDepth int) 
 // RunExactCounts executes ExactCountProgram and returns the exact
 // frequencies of the candidate labels.
 func RunExactCounts(g *graph.Graph, items [][]int64, candidates []int64, opts ...sim.Option) ([]int64, *sim.Result, error) {
+	if !g.Connected() {
+		return nil, nil, errDisconnected
+	}
 	e := sim.New(g, opts...)
 	res, err := e.Run(ExactCountProgram(items, candidates, 0, g.N()))
 	if err != nil {

@@ -1,6 +1,7 @@
 package streamsim
 
 import (
+	"errors"
 	"fmt"
 
 	"mucongest/internal/congest"
@@ -67,11 +68,7 @@ func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 				client.StartPass(pass)
 			}
 			if cached {
-				replayFromCache(c, tr, maxDepth, cacheList, func(_ int, e graph.Edge) {
-					if e.U >= 0 {
-						onEdge(e)
-					}
-				})
+				replayFromCache(c, tr, maxDepth, cacheList, onEdge)
 			} else {
 				gatherToSink(c, tr, maxDepth, mine, onEdge, false)
 			}
@@ -85,11 +82,17 @@ func PPassProgram(g *graph.Graph, labels map[[2]int]int64, sink int,
 	}
 }
 
+// errDisconnected rejects a graph the sink's BFS tree cannot span.
+var errDisconnected = errors.New("streamsim: disconnected graph: the sink's BFS tree must span every node")
+
 // RunPPass executes the simulation on an engine and returns the sink's
 // result and the run statistics.
 func RunPPass(g *graph.Graph, labels map[[2]int]int64, mkClient func() Client,
 	cached bool, opts ...sim.Option) ([]int64, *sim.Result, error) {
 
+	if !g.Connected() {
+		return nil, nil, errDisconnected
+	}
 	sink := MaxDegreeNode(g)
 	maxDepth := g.N()
 	e := sim.New(g, opts...)

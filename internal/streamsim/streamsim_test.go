@@ -1,9 +1,11 @@
 package streamsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mucongest/internal/graph"
@@ -16,6 +18,24 @@ func labeledEdges(g *graph.Graph, rng *rand.Rand, lo, hi int64) map[[2]int]int64
 		labels[[2]int{e.U, e.V}] = lo + rng.Int63n(hi-lo+1)
 	}
 	return labels
+}
+
+// twoComponents is two disjoint triangles: no sink's BFS tree spans it.
+func twoComponents(t *testing.T) *graph.Graph {
+	g, err := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
+		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// requireDisconnected fails unless err rejects a disconnected graph.
+func requireDisconnected(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "disconnected") {
+		t.Fatalf("%s on two components: got error %v, want a disconnected-graph error", what, err)
+	}
 }
 
 func TestMultipassSelectStandalone(t *testing.T) {
@@ -66,6 +86,11 @@ func TestPPassNaiveAndCachedAgree(t *testing.T) {
 	}
 	if resN.Rounds <= 0 || resC.Rounds <= 0 {
 		t.Fatal("no rounds recorded")
+	}
+	split := twoComponents(t)
+	for _, cached := range []bool{false, true} {
+		_, _, err := RunPPass(split, nil, mk, cached)
+		requireDisconnected(t, fmt.Sprintf("RunPPass(cached=%v)", cached), err)
 	}
 }
 
@@ -198,6 +223,8 @@ func TestRandomOrderDeliversAllEdgesEachPass(t *testing.T) {
 			t.Fatalf("label %d missing", i)
 		}
 	}
+	_, _, err = RunRandomOrder(twoComponents(t), nil, mk)
+	requireDisconnected(t, "RunRandomOrder", err)
 }
 
 func TestRandomOrderUniformity(t *testing.T) {
