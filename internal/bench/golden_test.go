@@ -8,8 +8,8 @@ import (
 )
 
 // goldenRecords pins, per cell set, the SHA-256 of the JSON records the
-// cells emit at root seed 1. Each set runs in well under a second at the
-// default scale. A deliberate change to the algorithms or the records
+// cells emit at root seed 1. Each set runs in a few seconds at most at
+// the default scale. A deliberate change to the algorithms or the records
 // re-records the digest and says why.
 var goldenRecords = []struct {
 	name   string
@@ -30,6 +30,12 @@ var goldenRecords = []struct {
 	// hand-rolled gather loops the upcast replaced.
 	{"upcast", []string{"E4/E5", "E6", "E7"},
 		"9c2f954806e158aaaccb32ba0e9661e00245251b45bfa0ba148db820144bd2ef"},
+	// The largest Congested-Clique cell: 4-clique listing over 82,251
+	// cover blocks at μ=36 (E1/E2-k4). Recorded with one Lenzen routing
+	// call per block; routing a chunk of blocks per call must reproduce
+	// every rounds, peakWords and overMuRounds figure exactly.
+	{"cc-k4", []string{"E1/E2-k4"},
+		"0d57d3a735943b0438e8a818535134062c4592bb3af424cb8d9163f3d414d147"},
 }
 
 // TestIdleCellRecordsGolden pins the records of each golden cell set.
