@@ -8,8 +8,8 @@ import (
 )
 
 // goldenRecords pins, per cell set, the SHA-256 of the JSON records the
-// cells emit at root seed 1. Each set runs in a few seconds at most at
-// the default scale. A deliberate change to the algorithms or the records
+// cells emit at root seed 1. Each set runs in under a second at the
+// default scale. A deliberate change to the algorithms or the records
 // re-records the digest and says why.
 var goldenRecords = []struct {
 	name   string

@@ -126,6 +126,9 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(*sim
 		c.Charge(int64(g.Degree(id)))
 		defer c.Release(int64(g.Degree(id)))
 
+		// Listing scratch, reused across blocks and iterations.
+		var edges [][2]int
+		var l lister
 		for iter := 0; iter < maxIter; iter++ {
 			if plan.edges == 0 {
 				return
@@ -172,11 +175,11 @@ func MuCongestTriangles(cfg MuTriangleConfig, router *expander.Router) func(*sim
 				recv := router.Route(c, out)
 				if len(recv) > 0 {
 					c.Charge(int64(2 * len(recv)))
-					edges := make([][2]int, len(recv))
-					for i, p := range recv {
-						edges[i] = [2]int{int(p.A), int(p.B)}
+					edges = edges[:0]
+					for _, p := range recv {
+						edges = append(edges, [2]int{int(p.A), int(p.B)})
 					}
-					for _, tri := range ListInEdgeSet(edges, 3) {
+					for _, tri := range l.list(edges, 3) {
 						c.Emit(tri)
 					}
 					c.Release(int64(2 * len(recv)))

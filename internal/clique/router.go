@@ -2,6 +2,7 @@ package clique
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -25,19 +26,27 @@ type Packet struct {
 // the exact round count of the lemma and preserving the per-node
 // message loads, which is what the experiments measure.
 //
-// Route is an SPMD subroutine: every node must call it at the same
-// logical point. Memory for the received batch is charged to the
-// receiving node by the caller.
+// Route and RouteBatch are SPMD subroutines: every node must call the
+// same one at the same logical point. Memory for the received batch is
+// charged to the receiving node by the caller.
 type OracleRouter struct {
 	n        int
 	mu       sync.Mutex
 	deposits [][]Packet
 	received [][]Packet
 	rounds   int
-	// scheduled reports that schedule already ran for the current Route
-	// call: the first node past the deposit barrier computes it, the
-	// rest read it. Each call's deposits reset it.
+	// scheduled reports that the schedule already ran for the current
+	// Route or RouteBatch call: the first node past the deposit barrier
+	// computes it, the rest read it. Each call's deposits reset it.
 	scheduled bool
+
+	// RouteBatch state: each node's deposited chunk, the per-node
+	// per-block received buffers (reused across calls) and the chunk's
+	// total round charge.
+	chunks   [][][]Packet
+	recvs    [][][]Packet
+	sleep    int
+	chunkErr error
 
 	// Schedule scratch, reused across calls.
 	in    []int
@@ -58,6 +67,8 @@ func NewOracleRouter(n int) *OracleRouter {
 		received: make([][]Packet, n),
 		in:       make([]int, n),
 		byDst:    make([][]tagged, n),
+		chunks:   make([][][]Packet, n),
+		recvs:    make([][][]Packet, n),
 	}
 }
 
@@ -69,8 +80,8 @@ func NewOracleRouter(n int) *OracleRouter {
 // with no packets at all costs just those 2 rounds.
 //
 // The returned slice is a router-owned buffer reused by the next call:
-// it is valid only until this node's next Route. Copy any packets that
-// must outlive it.
+// it is valid only until this node's next Route or RouteBatch. Copy any
+// packets that must outlive it.
 func (r *OracleRouter) Route(c *sim.Ctx, out []Packet) []Packet {
 	r.mu.Lock()
 	r.deposits[c.ID()] = out
@@ -89,6 +100,82 @@ func (r *OracleRouter) Route(c *sim.Ctx, out []Packet) []Packet {
 	// passed the first of them.
 	c.Idle(1 + rounds)
 	return r.received[c.ID()]
+}
+
+// RouteBatch routes a chunk of consecutive, independent routing
+// instances in one call: outs[b] is this node's out packets for block b,
+// and the result's b-th entry holds the packets addressed to this node in
+// block b, in Route's order. The round charge is that of one Route call
+// per block, Σ_b (2 + ⌈L_b/(n-1)⌉ + 1), with L_b = 0 blocks costing 2.
+//
+// Batching is sound only for an oblivious schedule: what a node deposits
+// for block b must not depend on what it receives in an earlier block of
+// the same chunk. Each node deposits its whole chunk and passes one
+// barrier; the first node past it schedules every block in order, and
+// every node then sleeps through the rest of the chunk's rounds. The
+// caller handles the received blocks after waking, so memory it charges
+// per block lands in the chunk's last round rather than in each block's.
+//
+// Contract: an SPMD call, with the same len(outs) on every node (a
+// mismatch panics). The outs slices must stay unmodified until the call
+// returns. The result and its blocks are router-owned buffers, valid
+// only until this node's next Route or RouteBatch call. An empty chunk
+// returns nil without a barrier.
+func (r *OracleRouter) RouteBatch(c *sim.Ctx, outs [][]Packet) [][]Packet {
+	if len(outs) == 0 {
+		return nil
+	}
+	r.mu.Lock()
+	r.chunks[c.ID()] = outs
+	r.scheduled = false
+	r.mu.Unlock()
+	c.Tick() // barrier: all deposits visible afterwards
+	r.mu.Lock()
+	if !r.scheduled {
+		r.chunkErr = r.scheduleChunk()
+		r.scheduled = true
+	}
+	sleep, err := r.sleep, r.chunkErr
+	r.mu.Unlock()
+	if err != nil {
+		panic(err)
+	}
+	c.Idle(sleep)
+	return r.recvs[c.ID()]
+}
+
+// scheduleChunk runs schedule once per block of the deposited chunks, in
+// block order, moving each receiver's block into its per-block buffer,
+// and sets sleep to the chunk's rounds after the deposit barrier. It
+// fails, scheduling nothing, if the nodes deposited chunks of different
+// lengths.
+func (r *OracleRouter) scheduleChunk() error {
+	blocks := len(r.chunks[0])
+	for src, ch := range r.chunks {
+		if len(ch) != blocks {
+			return fmt.Errorf("clique: RouteBatch: node %d deposited %d blocks, node 0 %d", src, len(ch), blocks)
+		}
+	}
+	for v := range r.recvs {
+		r.recvs[v] = slices.Grow(r.recvs[v][:0], blocks)[:blocks]
+	}
+	total := 0
+	for b := 0; b < blocks; b++ {
+		for src, ch := range r.chunks {
+			r.deposits[src] = ch[b]
+		}
+		r.schedule()
+		total += 2 + r.rounds
+		// Swap rather than copy: both buffers are router-owned, and the
+		// next block's schedule refills the one swapped out.
+		for v := range r.recvs {
+			r.received[v], r.recvs[v][b] = r.recvs[v][b], r.received[v]
+		}
+	}
+	clear(r.chunks)
+	// The deposit barrier is the chunk's first round.
+	r.sleep = total - 1
+	return nil
 }
 
 // schedule computes the Lenzen round count from the realized loads and
